@@ -77,7 +77,8 @@ fn main() {
     swt::tensor::parallel::set_max_threads(0);
 
     // --- Few-shot NAS: batched vs unbatched on one oversubscribed window ---
-    // CIFAR-10-quick is the arena-heaviest of the four apps (im2col buffers),
+    // CIFAR-10-quick is the arena-heaviest of the four apps (conv gradient
+    // buffers),
     // so it shows the cost of one cold per-thread workspace per candidate —
     // exactly what batching removes — most clearly.
     let app = AppKind::Cifar10;

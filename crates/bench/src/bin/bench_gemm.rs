@@ -9,7 +9,7 @@
 //!   micro-kernel (`gemm.blocked.*`) and on the runtime-dispatched kernel
 //!   (`gemm.simd.*`, AVX2+FMA where detected; identical to blocked rows on
 //!   hosts without SIMD),
-//! * im2col conv2d forward on a CIFAR-like layer,
+//! * conv2d forward (implicit-GEMM lowering) on a CIFAR-like layer,
 //! * one end-to-end `NasConfig::quick` run per kernel.
 //!
 //! The JSON is committed as `BENCH_gemm.json` at the repository root so perf

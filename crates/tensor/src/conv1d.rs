@@ -1,84 +1,23 @@
-//! 1-D convolution (NWC) via im2col, forward and backward.
+//! 1-D convolution (NWC), forward and backward.
 //!
 //! NT3 classifies RNA-sequence gene-expression profiles with 1-D
 //! convolutions over very wide inputs (Section VII-A); this is the kernel
-//! backing the NT3-like search space. Implemented directly rather than as a
-//! degenerate conv2d so the hot path stays branch-light.
-//!
-//! Like the 2-D path, `im2col`/`col2im` parallelise over the batch and the
-//! `_ws` variants draw all scratch from a caller-owned [`Workspace`].
+//! backing the NT3-like search space. An `(n, w, c)` input is the NHWC
+//! `(n, 1, w, c)` image and a `(k, c, f)` kernel the `(1, k, c, f)` one, so
+//! both passes run through the [`crate::conv2d`] core with `h = 1, kh = 1`:
+//! the same implicit packing, the same `_ws` scratch discipline.
 
-use crate::conv2d::Padding;
-use crate::matmul::{gemm_at_rowmajor, gemm_bt_rowmajor, gemm_rowmajor};
-use crate::parallel;
+use crate::conv2d::{backward_core, forward_core, ConvGeom, Padding};
 use crate::tensor::Tensor;
 use crate::workspace::{with_thread_workspace, Workspace};
 
-fn check_conv1d(input: &Tensor, kernel: &Tensor) -> (usize, usize, usize, usize, usize) {
+fn check_conv1d(input: &Tensor, kernel: &Tensor, padding: Padding) -> ConvGeom {
     assert_eq!(input.shape().rank(), 3, "conv1d input must be (n, w, c) rank 3");
     assert_eq!(kernel.shape().rank(), 3, "conv1d kernel must be (k, c, f)");
-    let (n, w, c) = (input.shape().dim(0), input.shape().dim(1), input.shape().dim(2));
-    let (k, kc, f) = (kernel.shape().dim(0), kernel.shape().dim(1), kernel.shape().dim(2));
+    let [n, w, c] = [0, 1, 2].map(|i| input.shape().dim(i));
+    let [k, kc, f] = [0, 1, 2].map(|i| kernel.shape().dim(i));
     assert_eq!(c, kc, "conv1d channel mismatch: input {c}, kernel {kc}");
-    (n, w, c, k, f)
-}
-
-fn im2col1d(input: &Tensor, k: usize, padding: Padding, ws: &mut Workspace) -> (Vec<f32>, usize) {
-    let (n, w, c) = (input.shape().dim(0), input.shape().dim(1), input.shape().dim(2));
-    let ow = padding.out_size(w, k);
-    let (pl, _) = padding.pads(k);
-    let cols = k * c;
-    let mut m = ws.take_zeroed(n * ow * cols);
-    let src = input.data();
-    parallel::par_chunks_mut(&mut m, ow * cols, |ni, chunk| {
-        let sample = &src[ni * w * c..(ni + 1) * w * c];
-        for ox in 0..ow {
-            let row = ox * cols;
-            for kx in 0..k {
-                let ix = ox as isize + kx as isize - pl as isize;
-                if ix < 0 || ix >= w as isize {
-                    continue;
-                }
-                let dst = row + kx * c;
-                let s = ix as usize * c;
-                chunk[dst..dst + c].copy_from_slice(&sample[s..s + c]);
-            }
-        }
-    });
-    (m, ow)
-}
-
-fn col2im1d(
-    dcol: &[f32],
-    n: usize,
-    w: usize,
-    c: usize,
-    k: usize,
-    padding: Padding,
-    ws: &mut Workspace,
-) -> Tensor {
-    let ow = padding.out_size(w, k);
-    let (pl, _) = padding.pads(k);
-    let cols = k * c;
-    let mut out = ws.take_tensor_zeroed([n, w, c]);
-    parallel::par_chunks_mut(out.data_mut(), w * c, |ni, dst| {
-        let sample = &dcol[ni * ow * cols..(ni + 1) * ow * cols];
-        for ox in 0..ow {
-            let row = ox * cols;
-            for kx in 0..k {
-                let ix = ox as isize + kx as isize - pl as isize;
-                if ix < 0 || ix >= w as isize {
-                    continue;
-                }
-                let s = row + kx * c;
-                let d = ix as usize * c;
-                for ci in 0..c {
-                    dst[d + ci] += sample[s + ci];
-                }
-            }
-        }
-    });
-    out
+    ConvGeom::new(n, 1, w, c, 1, k, f, padding)
 }
 
 /// Forward 1-D convolution.
@@ -98,13 +37,9 @@ pub fn conv1d_forward_ws(
     padding: Padding,
     ws: &mut Workspace,
 ) -> Tensor {
-    let (n, _w, c, k, f) = check_conv1d(input, kernel);
-    let (col, ow) = im2col1d(input, k, padding, ws);
-    let rows = n * ow;
-    let mut out = ws.take(rows * f);
-    gemm_rowmajor(rows, f, k * c, &col, kernel.data(), &mut out, ws);
-    ws.give(col);
-    Tensor::from_vec([n, ow, f], out)
+    let g = check_conv1d(input, kernel, padding);
+    let out = forward_core(&g, input.data(), kernel.data(), ws);
+    Tensor::from_vec([g.n, g.ow, g.f], out)
 }
 
 /// Backward 1-D convolution: `(d_input, d_kernel)` for upstream `dout (n, ow, f)`.
@@ -125,20 +60,15 @@ pub fn conv1d_backward_ws(
     padding: Padding,
     ws: &mut Workspace,
 ) -> (Tensor, Tensor) {
-    let (n, w, c, k, f) = check_conv1d(input, kernel);
-    let (col, ow) = im2col1d(input, k, padding, ws);
-    assert_eq!(dout.shape().dims(), &[n, ow, f], "conv1d_backward: bad dout {}", dout.shape());
-    let rows = n * ow;
-    let cols = k * c;
-    let mut dk = ws.take(cols * f);
-    gemm_at_rowmajor(rows, cols, f, &col, dout.data(), &mut dk, ws);
-    let dkernel = Tensor::from_vec([k, c, f], dk);
-    let mut dcol = ws.take(rows * cols);
-    gemm_bt_rowmajor(rows, cols, f, dout.data(), kernel.data(), &mut dcol, ws);
-    ws.give(col);
-    let dinput = col2im1d(&dcol, n, w, c, k, padding, ws);
-    ws.give(dcol);
-    (dinput, dkernel)
+    let g = check_conv1d(input, kernel, padding);
+    assert_eq!(
+        dout.shape().dims(),
+        &[g.n, g.ow, g.f],
+        "conv1d_backward: bad dout {}",
+        dout.shape()
+    );
+    let (dinput, dk) = backward_core(&g, input.data(), kernel.data(), dout.data(), ws);
+    (Tensor::from_vec([g.n, g.w, g.c], dinput), Tensor::from_vec([g.kw, g.c, g.f], dk))
 }
 
 #[cfg(test)]
@@ -248,6 +178,45 @@ mod tests {
                     - conv1d_forward(&input, &minus, padding).sum())
                     / (2.0 * eps);
                 assert!((num - dkernel.data()[kidx]).abs() < 1e-2, "{padding:?} dkernel[{kidx}]");
+            }
+        }
+    }
+
+    /// conv1d is conv2d on the `(n, 1, w, c)` view with a `(1, k, c, f)`
+    /// kernel, bit for bit, on the small and the blocked GEMM paths and on
+    /// every micro-kernel.
+    #[test]
+    fn matches_conv2d_on_the_height_one_view_bitwise() {
+        use crate::conv2d::{conv2d_backward, conv2d_forward};
+        use crate::matmul::{available_kernels, with_kernel};
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = Rng::seed(14);
+        for &padding in &[Padding::Valid, Padding::Same] {
+            for &(n, w, c, k, f) in &[(2, 9, 3, 3, 4), (2, 180, 4, 5, 20), (1, 70, 40, 4, 9)] {
+                let input = Tensor::rand_normal([n, w, c], 0.0, 1.0, &mut rng);
+                let kernel = Tensor::rand_normal([k, c, f], 0.0, 0.5, &mut rng);
+                let ow = padding.out_size(w, k);
+                let dout = Tensor::rand_normal([n, ow, f], 0.0, 1.0, &mut rng);
+                let input2 = Tensor::from_vec([n, 1, w, c], input.data().to_vec());
+                let kernel2 = Tensor::from_vec([1, k, c, f], kernel.data().to_vec());
+                let dout2 = Tensor::from_vec([n, 1, ow, f], dout.data().to_vec());
+                for kind in available_kernels() {
+                    let (y1, (dx1, dk1)) = with_kernel(kind, || {
+                        let y = conv1d_forward(&input, &kernel, padding);
+                        (y, conv1d_backward(&input, &kernel, &dout, padding))
+                    });
+                    let (y2, (dx2, dk2)) = with_kernel(kind, || {
+                        let y = conv2d_forward(&input2, &kernel2, padding);
+                        (y, conv2d_backward(&input2, &kernel2, &dout2, padding))
+                    });
+                    let at = format!("{padding:?} ({n},{w},{c},{k},{f}) {kind:?}");
+                    assert_eq!(y1.shape().dims(), &[n, ow, f]);
+                    assert_eq!(bits(&y1), bits(&y2), "forward {at}");
+                    assert_eq!(dx1.shape().dims(), &[n, w, c]);
+                    assert_eq!(bits(&dx1), bits(&dx2), "d_input {at}");
+                    assert_eq!(dk1.shape().dims(), &[k, c, f]);
+                    assert_eq!(bits(&dk1), bits(&dk2), "d_kernel {at}");
+                }
             }
         }
     }

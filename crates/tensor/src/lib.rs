@@ -7,8 +7,9 @@
 //! * a cache-blocked, register-tiled, packed [`matmul`](matmul::matmul)
 //!   (BLIS-style; see the module docs) with transpose variants for the
 //!   backward passes,
-//! * im2col [`conv2d`] / [`conv1d`] forward *and* backward,
-//!   batch-parallel,
+//! * [`conv2d`] / [`conv1d`] forward *and* backward, lowered to GEMM with
+//!   the operands packed straight from the NHWC input (implicit GEMM: no
+//!   im2col buffer on the blocked path; conv1d is conv2d with `h = 1`),
 //! * max-pooling with argmax-based backward,
 //! * row-wise softmax and elementwise activations,
 //! * a reusable scratch arena ([`Workspace`]) so the

@@ -1,15 +1,17 @@
 //! Cache-blocked, register-tiled dense matrix multiplication.
 //!
-//! Dense layers and the im2col convolution lowering reduce everything to
-//! GEMM, so this is the hottest kernel in the repository. The implementation
-//! follows the classic BLIS/GotoBLAS decomposition:
+//! Dense layers and the convolution lowering reduce everything to GEMM, so
+//! this is the hottest kernel in the repository. The implementation follows
+//! the classic BLIS/GotoBLAS decomposition:
 //!
 //! * the K dimension is split into `KC`-deep panels; for each panel, `B` is
 //!   packed once into contiguous `NR`-wide strips and **reused across all row
 //!   blocks** of that panel;
 //! * the M dimension is split into `MC`-row blocks; each block of `A` is
 //!   packed into `MR`-tall strips laid out `[k][MR]` so the micro-kernel
-//!   streams both operands linearly;
+//!   streams both operands linearly. `A` comes from a `PackA` source: a
+//!   strided matrix view, or (for convolution) a source that packs straight
+//!   from the NHWC input with no im2col buffer;
 //! * an `MR×NR` register micro-kernel with fixed trip counts accumulates into
 //!   a column-major `[[f32; MR]; NR]` tile;
 //! * parallel dispatch (see [`crate::parallel`]) is over `MC`-row *blocks*
@@ -53,8 +55,12 @@
 //! One stride-generic driver serves all three entry points — [`matmul`]
 //! (`A·B`), [`matmul_at`] (`Aᵀ·B`, the weight gradient) and [`matmul_bt`]
 //! (`A·Bᵀ`, the input gradient) — transposition is just a different pair of
-//! packing strides, never a materialised transpose. [`matmul_naive`] keeps
-//! the textbook triple loop as the correctness reference.
+//! packing strides, never a materialised transpose. The packers specialise
+//! on the unit stride: a row-contiguous operand (`cs == 1`) packs each row
+//! as one contiguous run, a column-contiguous one (`rs == 1`) each k step;
+//! only a view with neither falls back to per-element indexing.
+//! [`matmul_naive`] keeps the textbook triple loop as the correctness
+//! reference.
 
 use crate::parallel;
 use crate::tensor::Tensor;
@@ -63,9 +69,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 /// Benchmark-only escape hatch: when set, every GEMM entry point (including
-/// the conv lowering) runs the textbook triple loop instead of the blocked
-/// kernel. This exists so `bench_gemm` can measure an honest end-to-end
-/// before/after on the same build; it is not meant for production use.
+/// the conv lowering, which then materialises its im2col operand) runs the
+/// textbook triple loop instead of the blocked kernel. This exists so
+/// `bench_gemm` can measure an honest end-to-end before/after on the same
+/// build; it is not meant for production use.
 static FORCE_NAIVE: AtomicBool = AtomicBool::new(false);
 
 /// Benchmark/CI escape hatch: when set, the blocked driver runs the portable
@@ -91,7 +98,7 @@ pub fn force_scalar_kernel(on: bool) {
 
 /// Which micro-kernel the dispatch table selected (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KernelKind {
+pub(crate) enum KernelKind {
     /// Portable generic tile loop (fused only if the build enables FMA).
     Scalar,
     /// Generic tile loop compiled with hardware FMA for this one function.
@@ -122,11 +129,65 @@ fn detect_kernel() -> KernelKind {
     KernelKind::Scalar
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test-only kernel pin for the calling thread; see [`with_kernel`].
+    static PINNED: std::cell::Cell<Option<KernelKind>> = const { std::cell::Cell::new(None) };
+}
+
+/// The calling thread's test pin, if any (always `None` outside tests).
+fn pinned_kernel() -> Option<KernelKind> {
+    #[cfg(test)]
+    return PINNED.with(|p| p.get());
+    #[cfg(not(test))]
+    None
+}
+
+/// Run `f` with every GEMM issued from this thread on `kernel` and the
+/// process-wide toggles ([`force_naive_gemm`], [`force_scalar_kernel`])
+/// ignored, so bitwise tests cannot race tests that flip them.
+#[cfg(test)]
+pub(crate) fn with_kernel<R>(kernel: KernelKind, f: impl FnOnce() -> R) -> R {
+    PINNED.with(|p| p.set(Some(kernel)));
+    let out = f();
+    PINNED.with(|p| p.set(None));
+    out
+}
+
+/// Every micro-kernel this host can run, for pairwise tests.
+#[cfg(test)]
+pub(crate) fn available_kernels() -> impl Iterator<Item = KernelKind> {
+    #[cfg(target_arch = "x86_64")]
+    let simd = {
+        let fma = std::is_x86_feature_detected!("fma");
+        let avx2 = fma && std::is_x86_feature_detected!("avx2");
+        [(KernelKind::ScalarFma, fma), (KernelKind::Avx2Fma, avx2)]
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let simd: [(KernelKind, bool); 0] = [];
+    std::iter::once(KernelKind::Scalar)
+        .chain(simd.into_iter().filter_map(|(k, ok)| ok.then_some(k)))
+}
+
+/// A strided view as a packing source, so tests elsewhere in the crate can
+/// pack a materialised operand through the real `View` packers.
+#[cfg(test)]
+pub(crate) fn strided_view(data: &[f32], rs: usize, cs: usize) -> impl PackA + '_ {
+    View { data, rs, cs }
+}
+
 fn active_kernel() -> KernelKind {
+    if let Some(kernel) = pinned_kernel() {
+        return kernel;
+    }
     if FORCE_SCALAR.load(Ordering::Relaxed) {
         return KernelKind::Scalar;
     }
     *KERNEL.get_or_init(detect_kernel)
+}
+
+fn naive_forced() -> bool {
+    pinned_kernel().is_none() && FORCE_NAIVE.load(Ordering::Relaxed)
 }
 
 /// Human-readable name of the micro-kernel the dispatch table would run
@@ -161,6 +222,18 @@ const SMALL_FLOPS: usize = 32 * 1024;
 /// Minimum output elements before parallel dispatch is worth its overhead.
 const PAR_THRESHOLD: usize = 64 * 1024;
 
+/// A source of the blocked driver's `A` operand: anything that can write a
+/// row block of a logical `m×k` matrix in packed form. The strided [`View`]
+/// is one; the convolution lowering supplies others that read straight from
+/// the NHWC input, so the blocked path never materialises an im2col matrix.
+pub(crate) trait PackA: Sync {
+    /// Pack rows `[m0, m0+mc)` × k-range `[k0, k0+kc)` into `MR`-tall
+    /// strips, each laid out `[kc][MR]` (strip `s` at `dst[s·MR·kc..]`),
+    /// zero-padding the ragged last strip. Every element of the
+    /// `mc.div_ceil(MR)·MR·kc` prefix of `dst` must be written.
+    fn pack(&self, m0: usize, mc: usize, k0: usize, kc: usize, dst: &mut [f32]);
+}
+
 /// A strided read-only view of a logical `rows×cols` matrix.
 #[derive(Clone, Copy)]
 struct View<'a> {
@@ -173,6 +246,71 @@ impl View<'_> {
     #[inline(always)]
     fn at(&self, r: usize, c: usize) -> f32 {
         self.data[r * self.rs + c * self.cs]
+    }
+}
+
+impl PackA for View<'_> {
+    fn pack(&self, m0: usize, mc: usize, k0: usize, kc: usize, dst: &mut [f32]) {
+        let strips = dst[..mc.div_ceil(MR) * MR * kc].chunks_exact_mut(MR * kc);
+        for (is, strip) in strips.enumerate() {
+            let i = m0 + is * MR;
+            let rows = MR.min(mc - is * MR);
+            if self.rs == 1 {
+                // Column-contiguous (a transposed operand): every k step is
+                // one contiguous run of `rows` values.
+                for (kk, d) in strip.chunks_exact_mut(MR).enumerate() {
+                    let s = (k0 + kk) * self.cs + i;
+                    d[..rows].copy_from_slice(&self.data[s..s + rows]);
+                    d[rows..].fill(0.0);
+                }
+            } else if self.cs == 1 {
+                // Row-contiguous: every row is one contiguous run of `kc`.
+                let mut runs = [&ZEROS[..kc]; MR];
+                for (r, run) in runs[..rows].iter_mut().enumerate() {
+                    let s = (i + r) * self.rs + k0;
+                    *run = &self.data[s..s + kc];
+                }
+                interleave(&runs, strip);
+            } else {
+                pack_generic(MR, kc, rows, strip, |r, kk| self.at(i + r, k0 + kk));
+            }
+        }
+    }
+}
+
+/// Zeros standing in for the lanes past a ragged edge (a run never exceeds
+/// `KC` values).
+pub(crate) static ZEROS: [f32; KC] = [0.0; KC];
+
+/// Interleave `W` equal-length runs into a packed `[len][W]` strip: lane `q`
+/// of step `kk` is `runs[q][kk]`. Writing each step's `W` lanes together is
+/// ~2× faster than scattering each run `W` apart; lanes past an edge get
+/// runs of [`ZEROS`].
+#[inline(always)]
+pub(crate) fn interleave<const W: usize>(runs: &[&[f32]; W], strip: &mut [f32]) {
+    for (kk, d) in strip.chunks_exact_mut(W).enumerate() {
+        for (o, run) in d.iter_mut().zip(runs) {
+            *o = run[kk];
+        }
+    }
+}
+
+/// Fill one `[kc][width]` packed strip element by element: lane `q` of step
+/// `kk` is `at(q, kk)` for `q < used`, zero beyond. The stride-generic
+/// fallback, and the oracle the stride-specialised packers are tested
+/// against.
+#[inline(always)]
+fn pack_generic(
+    width: usize,
+    kc: usize,
+    used: usize,
+    strip: &mut [f32],
+    at: impl Fn(usize, usize) -> f32,
+) {
+    for (kk, d) in strip[..kc * width].chunks_exact_mut(width).enumerate() {
+        for (q, o) in d.iter_mut().enumerate() {
+            *o = if q < used { at(q, kk) } else { 0.0 };
+        }
     }
 }
 
@@ -295,8 +433,9 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec([m, n], out)
 }
 
-/// `out (m×n) = a (m×k) · b (k×n)`, all row-major slices. Conv's im2col
-/// lowering calls this directly so reshapes stay logical (no tensor clones).
+/// `out (m×n) = a (m×k) · b (k×n)`, all row-major slices. The conv lowering
+/// calls this (and the two variants below) on slices, so reshapes stay
+/// logical (no tensor clones).
 pub(crate) fn gemm_rowmajor(
     m: usize,
     n: usize,
@@ -355,7 +494,7 @@ fn gemm_with_kernel(
     ws: &mut Workspace,
 ) {
     debug_assert_eq!(c.len(), m * n);
-    if FORCE_NAIVE.load(Ordering::Relaxed) {
+    if naive_forced() {
         swt_obs::counter!("tensor.gemm.naive").inc();
         return gemm_naive_view(m, n, k, a, b, c);
     }
@@ -363,6 +502,48 @@ fn gemm_with_kernel(
         swt_obs::counter!("tensor.gemm.small").inc();
         return gemm_small(m, n, k, a, b, c);
     }
+    gemm_blocked(kernel, m, n, k, &a, b, c, ws)
+}
+
+/// Whether a GEMM of this shape runs the blocked (packing) driver rather
+/// than the small-problem loop or the forced naive reference. Callers with
+/// an implicit `A` source ([`gemm_implicit`]) check this first and fall back
+/// to a materialised operand otherwise, so every shape keeps its path.
+pub(crate) fn takes_blocked_path(m: usize, n: usize, k: usize) -> bool {
+    !naive_forced() && m * n * k > SMALL_FLOPS
+}
+
+/// `out (m×n) = A · b` on the blocked driver, with `A (m×k)` packed straight
+/// from `a` and `b (k×n)` row-major. Only for shapes where
+/// [`takes_blocked_path`] holds: the small and naive paths need a strided
+/// `A` to index.
+pub(crate) fn gemm_implicit(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &impl PackA,
+    b: &[f32],
+    out: &mut [f32],
+    ws: &mut Workspace,
+) {
+    debug_assert!(takes_blocked_path(m, n, k));
+    gemm_blocked(active_kernel(), m, n, k, a, View { data: b, rs: n, cs: 1 }, out, ws);
+}
+
+/// The packing driver behind every blocked GEMM, generic over where `A`'s
+/// panels come from.
+#[allow(clippy::too_many_arguments)]
+fn gemm_blocked<A: PackA + ?Sized>(
+    kernel: KernelKind,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &A,
+    b: View,
+    c: &mut [f32],
+    ws: &mut Workspace,
+) {
+    debug_assert_eq!(c.len(), m * n);
     match kernel {
         KernelKind::Scalar => swt_obs::counter!("tensor.gemm.blocked.scalar").inc(),
         #[cfg(target_arch = "x86_64")]
@@ -401,7 +582,7 @@ fn gemm_with_kernel(
                     let mc = MC.min(m - m0);
                     let pa_len = mc.div_ceil(MR) * MR * kc;
                     let pa_scratch = &mut pa_scratch[..pa_len];
-                    pack_a(a, m0, mc, k0, kc, pa_scratch);
+                    a.pack(m0, mc, k0, kc, pa_scratch);
                     block_kernel(kernel, c_chunk, n, mc, kc, pa_scratch, pb_ref, first);
                 },
             );
@@ -410,7 +591,7 @@ fn gemm_with_kernel(
                 let m0 = ib * MC;
                 let mc = MC.min(m - m0);
                 let pa_len = mc.div_ceil(MR) * MR * kc;
-                pack_a(a, m0, mc, k0, kc, &mut pa[..pa_len]);
+                a.pack(m0, mc, k0, kc, &mut pa[..pa_len]);
                 block_kernel(
                     kernel,
                     &mut c[m0 * n..(m0 + mc) * n],
@@ -459,37 +640,32 @@ fn gemm_small(m: usize, n: usize, k: usize, a: View, b: View, c: &mut [f32]) {
     }
 }
 
-/// Pack rows `[m0, m0+mc)` × k-range `[k0, k0+kc)` of `a` into `MR`-tall
-/// strips, each laid out `[kc][MR]`, zero-padding the ragged last strip.
-fn pack_a(a: View, m0: usize, mc: usize, k0: usize, kc: usize, dst: &mut [f32]) {
-    let mut off = 0;
-    let mut i = 0;
-    while i < mc {
-        let rows = MR.min(mc - i);
-        for kk in 0..kc {
-            for r in 0..MR {
-                dst[off] = if r < rows { a.at(m0 + i + r, k0 + kk) } else { 0.0 };
-                off += 1;
-            }
-        }
-        i += MR;
-    }
-}
-
 /// Pack k-range `[k0, k0+kc)` × all `n` columns of `b` into `NR`-wide
 /// strips, each laid out `[kc][NR]`, zero-padding the ragged last strip.
 fn pack_b(b: View, k0: usize, kc: usize, n: usize, dst: &mut [f32]) {
-    let mut off = 0;
-    let mut j = 0;
-    while j < n {
+    let strips = dst[..n.div_ceil(NR) * NR * kc].chunks_exact_mut(NR * kc);
+    for (js, strip) in strips.enumerate() {
+        let j = js * NR;
         let cols = NR.min(n - j);
-        for kk in 0..kc {
-            for q in 0..NR {
-                dst[off] = if q < cols { b.at(k0 + kk, j + q) } else { 0.0 };
-                off += 1;
+        if b.cs == 1 {
+            // Row-contiguous: every k step is one contiguous run of `cols`.
+            for (kk, d) in strip.chunks_exact_mut(NR).enumerate() {
+                let s = (k0 + kk) * b.rs + j;
+                d[..cols].copy_from_slice(&b.data[s..s + cols]);
+                d[cols..].fill(0.0);
             }
+        } else if b.rs == 1 {
+            // Column-contiguous (a transposed operand): every column is one
+            // contiguous run of `kc` values.
+            let mut runs = [&ZEROS[..kc]; NR];
+            for (q, run) in runs[..cols].iter_mut().enumerate() {
+                let s = (j + q) * b.cs + k0;
+                *run = &b.data[s..s + kc];
+            }
+            interleave(&runs, strip);
+        } else {
+            pack_generic(NR, kc, cols, strip, |q, kk| b.at(k0 + kk, j + q));
         }
-        j += NR;
     }
 }
 
@@ -888,6 +1064,97 @@ mod tests {
         let parallel_out = matmul(&a, &b);
         parallel::set_max_threads(if prev == 0 { 0 } else { prev });
         assert!(bitwise_eq(&serial, &parallel_out));
+    }
+
+    /// The same logical `rows×cols` matrix three ways: row-contiguous
+    /// (`cs == 1`), column-contiguous (`rs == 1`) and interleaved in a
+    /// doubled buffer so neither stride is 1 (the generic `View::at` path).
+    fn three_layouts(rows: usize, cols: usize, rng: &mut Rng) -> [Vec<f32>; 3] {
+        let m = Tensor::rand_normal([rows, cols], 0.0, 1.0, rng);
+        let row_major = m.data().to_vec();
+        let col_major = m.transpose2().data().to_vec();
+        let mut interleaved = vec![f32::NAN; 2 * rows * cols];
+        for (i, &v) in row_major.iter().enumerate() {
+            interleaved[2 * i] = v;
+        }
+        [row_major, col_major, interleaved]
+    }
+
+    fn views<'a>(l: &'a [Vec<f32>; 3], rows: usize, cols: usize) -> [View<'a>; 3] {
+        [
+            View { data: &l[0], rs: cols, cs: 1 },
+            View { data: &l[1], rs: 1, cs: rows },
+            View { data: &l[2], rs: 2 * cols, cs: 2 },
+        ]
+    }
+
+    /// Every element a packer is responsible for must be written: start from
+    /// NaN garbage (a recycled Workspace buffer) and compare bit for bit.
+    fn garbage(len: usize) -> Vec<f32> {
+        vec![f32::NAN; len]
+    }
+
+    #[test]
+    fn stride_specialised_a_packers_match_generic_on_ragged_edges() {
+        let mut rng = Rng::seed(41);
+        let (m, k) = (2 * MR + 5, KC + 7);
+        let layouts = three_layouts(m, k, &mut rng);
+        let [row, col, generic] = views(&layouts, m, k);
+        for &(m0, mc) in &[(0, MR), (0, MR + 1), (3, 2 * MR + 2), (MR + 4, MR + 1), (m - 1, 1)] {
+            for &(k0, kc) in &[(0, 1), (0, KC), (5, KC), (KC, 7), (1, 3)] {
+                let len = mc.div_ceil(MR) * MR * kc;
+                let mut want = garbage(len);
+                generic.pack(m0, mc, k0, kc, &mut want);
+                for (name, v) in [("cs == 1", row), ("rs == 1", col)] {
+                    let mut got = garbage(len);
+                    v.pack(m0, mc, k0, kc, &mut got);
+                    assert!(
+                        got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{name} A packer diverged at m0={m0} mc={mc} k0={k0} kc={kc}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stride_specialised_b_packers_match_generic_on_ragged_edges() {
+        let mut rng = Rng::seed(42);
+        let (k, n) = (KC + 7, 3 * NR + 3);
+        let layouts = three_layouts(k, n, &mut rng);
+        let [row, col, generic] = views(&layouts, k, n);
+        for &nn in &[1, NR, NR + 1, 2 * NR - 1, n] {
+            for &(k0, kc) in &[(0, 1), (0, KC), (5, KC), (KC, 7), (1, 3)] {
+                let len = nn.div_ceil(NR) * NR * kc;
+                let mut want = garbage(len);
+                pack_b(generic, k0, kc, nn, &mut want);
+                for (name, v) in [("cs == 1", row), ("rs == 1", col)] {
+                    let mut got = garbage(len);
+                    pack_b(v, k0, kc, nn, &mut got);
+                    assert!(
+                        got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{name} B packer diverged at n={nn} k0={k0} kc={kc}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A public entry point under `with_kernel` runs exactly the pinned
+    /// blocked driver, whatever the process toggles say.
+    #[test]
+    fn pinned_kernel_runs_the_pinned_blocked_driver() {
+        let mut rng = Rng::seed(43);
+        let a = Tensor::rand_normal([40, 50], 0.0, 1.0, &mut rng);
+        let b = Tensor::rand_normal([50, 30], 0.0, 1.0, &mut rng);
+        for kernel in available_kernels() {
+            let want = blocked_with(kernel, &a, &b);
+            let got = with_kernel(kernel, || {
+                assert!(takes_blocked_path(40, 30, 50));
+                matmul(&a, &b)
+            });
+            assert!(bitwise_eq(&got, &want), "{kernel:?}");
+        }
     }
 
     #[test]

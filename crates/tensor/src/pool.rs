@@ -3,7 +3,9 @@
 //! The paper's Pooling variable nodes choose identity or pooling layers with
 //! sizes/strides from 2 to 5. The forward pass records the flat index of each
 //! window's maximum so the backward pass routes the gradient to exactly that
-//! element (ties resolve to the first maximum, as in TensorFlow).
+//! element (ties resolve to the first maximum, as in TensorFlow). A window
+//! with no value above `-inf` (all `-inf` or NaN) keeps its own first
+//! element as the argmax, so its gradient stays inside the window.
 
 use crate::tensor::Tensor;
 
@@ -31,6 +33,10 @@ pub fn maxpool2d_forward(input: &Tensor, k: usize, stride: usize) -> (Tensor, Ve
         for oy in 0..oh {
             for ox in 0..ow {
                 let base = ((ni * oh + oy) * ow + ox) * c;
+                let first = ((ni * h + oy * stride) * w + ox * stride) * c;
+                for ci in 0..c {
+                    arg[base + ci] = (first + ci) as u32;
+                }
                 for ky in 0..k {
                     let iy = oy * stride + ky;
                     for kx in 0..k {
@@ -73,6 +79,10 @@ pub fn maxpool1d_forward(input: &Tensor, k: usize, stride: usize) -> (Tensor, Ve
     for ni in 0..n {
         for ox in 0..ow {
             let base = (ni * ow + ox) * c;
+            let first = (ni * w + ox * stride) * c;
+            for ci in 0..c {
+                arg[base + ci] = (first + ci) as u32;
+            }
             for kx in 0..k {
                 let ix = ox * stride + kx;
                 let s = (ni * w + ix) * c;
@@ -183,6 +193,37 @@ mod tests {
         let dout = Tensor::from_vec([1, 1, 2], vec![1.0, 1.0]);
         let dinput = maxpool1d_backward(&[1, 2, 2], &dout, &arg);
         assert_eq!(dinput.data(), &[0., 1., 1., 0.]);
+    }
+
+    /// A window with nothing above `-inf` routes its gradient to its own
+    /// first element, not to element 0 of sample 0.
+    #[test]
+    fn non_finite_window_routes_gradient_inside_the_window() {
+        let (ninf, nan) = (f32::NEG_INFINITY, f32::NAN);
+        // Two samples of 2x4x1; in sample 1 the left window is all -inf and
+        // the right window all NaN.
+        #[rustfmt::skip]
+        let input = Tensor::from_vec([2, 2, 4, 1], vec![
+            1., 2., 3., 4.,
+            5., 6., 7., 8.,
+            ninf, ninf, nan, nan,
+            ninf, ninf, nan, nan,
+        ]);
+        let (out, arg) = maxpool2d_forward(&input, 2, 2);
+        assert_eq!(&out.data()[..2], &[6., 8.]);
+        assert_eq!(arg, vec![5, 7, 8, 10]);
+        let dout = Tensor::from_vec([2, 1, 2, 1], vec![1., 1., 1., 1.]);
+        let dinput = maxpool2d_backward(&[2, 2, 4, 1], &dout, &arg);
+        assert_eq!(dinput.data()[0], 0.0, "sample 0 must not collect sample 1's gradient");
+        assert_eq!(dinput.data()[8], 1.0);
+        assert_eq!(dinput.data()[10], 1.0);
+
+        // 1-D, two channels: channel 0 all -inf in the second window,
+        // channel 1 all NaN in both.
+        let input = Tensor::from_vec([1, 4, 2], vec![1., nan, 2., nan, ninf, nan, ninf, nan]);
+        let (out, arg) = maxpool1d_forward(&input, 2, 2);
+        assert_eq!(out.data()[0], 2.0);
+        assert_eq!(arg, vec![2, 1, 4, 5]);
     }
 
     #[test]

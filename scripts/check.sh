@@ -60,16 +60,18 @@ fidelity_json=$(mktemp)
 cargo run --release --quiet -p swt-bench --bin bench_fidelity -- --smoke "$fidelity_json"
 rm -f "$fidelity_json"
 
-echo "==> GEMM alloc gate (matmul.rs hot paths draw from the Workspace, not the heap)"
-# The blocked driver's pack buffers must come from the caller's Workspace;
-# a `vec!`/`Vec::new` in matmul.rs is a hot-loop allocation unless the line
-# is annotated `alloc-gate: allow` (cold oracles like the naive reference).
-# The `#[cfg(test)]` module is exempt — tests may allocate freely.
-allocs=$(awk '/#\[cfg\(test\)\]/ { exit }
-  /vec!|Vec::new/ && !/alloc-gate: allow/ { print FILENAME ":" FNR ": " $0 }' \
-  crates/tensor/src/matmul.rs)
+echo "==> GEMM alloc gate (GEMM and conv hot paths draw from the Workspace, not the heap)"
+# The blocked driver's pack buffers and the conv lowering's scratch must
+# come from the caller's Workspace; a `vec!`/`Vec::new` in these files is a
+# hot-loop allocation unless the line is annotated `alloc-gate: allow`
+# (cold oracles like the naive reference). Each file's `mod tests` is
+# exempt — tests may allocate freely.
+allocs=$(awk 'FNR == 1 { in_tests = 0 }
+  /^mod tests/ { in_tests = 1 }
+  !in_tests && /vec!|Vec::new/ && !/alloc-gate: allow/ { print FILENAME ":" FNR ": " $0 }' \
+  crates/tensor/src/matmul.rs crates/tensor/src/conv2d.rs crates/tensor/src/conv1d.rs)
 if [ -n "$allocs" ]; then
-  echo "heap allocation in crates/tensor/src/matmul.rs hot path (annotate cold paths with 'alloc-gate: allow'):" >&2
+  echo "heap allocation in a GEMM/conv hot path (annotate cold paths with 'alloc-gate: allow'):" >&2
   echo "$allocs" >&2
   exit 1
 fi
