@@ -11,26 +11,29 @@
 //! one. The pool degrades gracefully down to a single surviving worker;
 //! only losing *all* workers aborts the run.
 //!
-//! Elasticity (DESIGN.md §10): the listener stays open for the whole run,
-//! so a `Hello` arriving mid-run is a *join* — the newcomer is handshaken,
-//! given a fresh slot, and starts draining the pending queue (or refused
-//! with an `Error` frame when the pool already holds `max_workers` live
-//! processes). The dispatch window is sized by `nas.workers` alone and
-//! never moves: joining changes *which process* evaluates a candidate,
-//! never *which candidate* is scheduled, so elastic runs stay bit-identical
-//! to fixed-pool runs.
+//! Admission (DESIGN.md §10): there is one way into the pool. The listener
+//! stays open for the whole run and every connection — the launch-time
+//! workers, late joins, autoscale grows — goes through the same
+//! `Hello`/`HelloAck` admission: the newcomer gets a fresh slot and starts
+//! draining the pending queue, or an `Error` frame (bad Hello, version
+//! mismatch, pool already at `max_workers`) and is dropped without
+//! disturbing the run. The dispatch window is sized by `nas.workers` alone
+//! and never moves: admission changes *which process* evaluates a
+//! candidate, never *which candidate* is scheduled, so elastic runs stay
+//! bit-identical to fixed-pool runs.
 //!
-//! Metrics: every `Result` frame carries the worker's cumulative
-//! counter/histogram snapshot and a final `Stats` frame arrives during the
-//! [`DistBackend::finish`] teardown; the coordinator keeps the latest
-//! snapshot per slot and folds them all into the process-global registry,
-//! making one `RunReport::capture()` cover the whole multi-process run.
+//! Metrics: each worker streams cumulative `Telemetry` snapshots, folded
+//! in one place — the [`LiveRunView`] under its strictly-greater-seq rule.
+//! [`DistBackend::finish`] waits for the final snapshots, reads the
+//! per-worker totals back out of the settled view and folds them into the
+//! process-global registry, making one `RunReport::capture()` cover the
+//! whole multi-process run.
 
 use crate::frame::{read_frame, write_frame, WireError, PROTOCOL_VERSION};
 use crate::live::LiveRunView;
 use crate::policy::{ScaleDecision, ScalePolicy};
 use crate::spawn::{find_worker_exe, spawn_worker};
-use crate::wire::{Msg, RunSpec, WorkerMetrics};
+use crate::wire::{Msg, RunSpec};
 use crate::{DistConfig, DistRunStats, JoinPlan, KillPlan};
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -67,8 +70,6 @@ struct WorkerSlot {
     /// tasks is silent but healthy).
     outstanding_ping: Option<(u64, Instant)>,
     rtt: Arc<swt_obs::metrics::Histogram>,
-    /// Latest cumulative metrics snapshot received from this worker.
-    stats: Option<WorkerMetrics>,
 }
 
 /// Multi-process evaluation backend: the coordinator side of `swt-dist`.
@@ -82,6 +83,9 @@ pub struct DistBackend {
     /// The deterministic dispatch window (`nas.workers`). Constant for the
     /// backend's lifetime regardless of how the pool grows or shrinks.
     window: usize,
+    /// Size of the launch-time pool: admissions into slots below it fill
+    /// the pool, later ones count as joins.
+    initial_workers: usize,
     max_workers: usize,
     slots: Vec<WorkerSlot>,
     tx: mpsc::Sender<Event>,
@@ -99,8 +103,8 @@ pub struct DistBackend {
     results_delivered: usize,
     kill_plan: Option<KillPlan>,
     join_plan: Option<JoinPlan>,
-    /// Children spawned by join injection that have not completed their
-    /// handshake yet.
+    /// Children we spawned (at launch, by join injection or by a grow
+    /// decision) that have not been admitted yet.
     joining: Vec<Child>,
     joined: usize,
     rejected: usize,
@@ -123,9 +127,30 @@ pub struct DistBackend {
 
 impl DistBackend {
     /// Bind a localhost listener, spawn the initial worker processes
-    /// (`dist.initial_workers`, default `nas.workers`), and complete the
-    /// handshake with each.
+    /// (`dist.initial_workers`, default `nas.workers`), and admit each one
+    /// through the same path a mid-run join takes.
     pub fn launch(nas: &NasConfig, dist: &DistConfig) -> io::Result<DistBackend> {
+        let mut backend = DistBackend::bind(nas, dist)?;
+        let n = backend.initial_workers;
+        swt_obs::info!(
+            "swt_dist",
+            "coordinator on {}, spawning {n} × {}",
+            backend.addr,
+            backend.exe.display()
+        );
+        for worker_id in 0..n {
+            backend.joining.push(spawn_worker(&backend.exe, &backend.addr, worker_id)?);
+        }
+        // On error the backend drops, reaping every child spawned so far.
+        backend.admit_initial()?;
+        // Trace timestamps count from the moment the pool is up.
+        backend.start = Instant::now();
+        Ok(backend)
+    }
+
+    /// Everything in [`DistBackend::launch`] except spawning: validate the
+    /// config, bind the (non-blocking) listener, and build an empty pool.
+    fn bind(nas: &NasConfig, dist: &DistConfig) -> io::Result<DistBackend> {
         let window = nas.workers;
         assert!(window > 0, "need a non-empty dispatch window");
         let n = dist.initial_workers.unwrap_or(window).max(1);
@@ -150,10 +175,13 @@ impl DistBackend {
             }
             None => None,
         };
+        // The listener polls non-blocking for the whole run, so a child that
+        // dies before connecting turns into a clear error instead of a hung
+        // accept, and mid-run joins never stall the dispatch loop.
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
+        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?.to_string();
         let exe = find_worker_exe(dist.worker_exe.as_ref())?;
-        swt_obs::info!("swt_dist", "coordinator on {addr}, spawning {n} × {}", exe.display());
 
         // Worker resources are budgeted by the window, not the live pool:
         // thread pinning and cache slices must not depend on how many
@@ -174,61 +202,7 @@ impl DistBackend {
             conv_window: nas.fidelity.convergence.map_or(0, |c| c.window as u32),
             conv_min_delta: nas.fidelity.convergence.map_or(0.0, |c| c.min_delta),
             store_url: dist.store_url.clone().unwrap_or_default(),
-            autoscale_min: dist.autoscale.as_ref().map_or(0, |c| c.min_workers as u32),
-            autoscale_max: dist.autoscale.as_ref().map_or(0, |c| c.max_workers as u32),
         };
-
-        let mut children = Vec::with_capacity(n);
-        for worker_id in 0..n {
-            children.push(Some(spawn_worker(&exe, &addr, worker_id)?));
-        }
-
-        // Accept until every worker has completed its handshake. The
-        // listener polls non-blocking so a child that dies before
-        // connecting (bad exe, immediate crash) turns into a clear error
-        // instead of a hung accept.
-        listener.set_nonblocking(true)?;
-        let deadline = Instant::now() + dist.connect_timeout;
-        let mut streams: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-        let mut connected = 0;
-        while connected < n {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    stream.set_nodelay(true)?;
-                    let worker_id = handshake(stream, &run, &mut streams)?;
-                    connected += 1;
-                    swt_obs::info!("swt_dist", "worker {worker_id} connected ({connected}/{n})");
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    for (worker_id, child) in children.iter_mut().enumerate() {
-                        let exited = match child {
-                            Some(c) => c.try_wait()?.map(|status| (worker_id, status)),
-                            None => None,
-                        };
-                        if let Some((worker_id, status)) = exited {
-                            reap_all(&mut children);
-                            return Err(io::Error::new(
-                                io::ErrorKind::ConnectionAborted,
-                                format!("worker {worker_id} exited during startup: {status}"),
-                            ));
-                        }
-                    }
-                    if Instant::now() > deadline {
-                        reap_all(&mut children);
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!("only {connected}/{n} workers connected before the deadline"),
-                        ));
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => {
-                    reap_all(&mut children);
-                    return Err(e);
-                }
-            }
-        }
 
         let live = dist.live.clone().unwrap_or_else(|| Arc::new(LiveRunView::new()));
         live.set_meta("app", dist.app.name());
@@ -237,12 +211,13 @@ impl DistBackend {
         live.set_window(window);
 
         let (tx, rx) = mpsc::channel();
-        let mut backend = DistBackend {
+        Ok(DistBackend {
             listener,
             addr,
             exe,
             run,
             window,
+            initial_workers: n,
             max_workers: dist.max_workers,
             slots: Vec::with_capacity(n),
             tx,
@@ -267,17 +242,43 @@ impl DistBackend {
             retired: 0,
             finished: false,
             live,
-        };
-        for (child, stream) in children.into_iter().zip(streams) {
-            let (Some(child), Some(stream)) = (child, stream) else {
-                return Err(io::Error::other("worker slot not filled"));
-            };
-            backend.add_slot(Some(child), stream)?;
-        }
-        Ok(backend)
+        })
     }
 
-    /// Park a handshaken connection in a fresh slot and start its reader
+    /// Fill the launch-time pool: run the admission loop until
+    /// `initial_workers` slots are live. A spawned child that exits first,
+    /// or a pool still short at the connect deadline, fails the launch; a
+    /// bad Hello is dropped, exactly as it is mid-run.
+    fn admit_initial(&mut self) -> io::Result<()> {
+        let deadline = Instant::now() + self.connect_timeout;
+        loop {
+            self.poll_joins()?;
+            if self.slots.len() >= self.initial_workers {
+                return Ok(());
+            }
+            for child in &mut self.joining {
+                if let Some(status) = child.try_wait()? {
+                    return Err(io::Error::new(
+                        io::ErrorKind::ConnectionAborted,
+                        format!("worker pid {} exited during startup: {status}", child.id()),
+                    ));
+                }
+            }
+            if Instant::now() > deadline {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!(
+                        "only {}/{} workers connected before the deadline",
+                        self.slots.len(),
+                        self.initial_workers
+                    ),
+                ));
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// Park an admitted connection in a fresh slot and start its reader
     /// thread. Returns the slot index.
     fn add_slot(&mut self, child: Option<Child>, stream: TcpStream) -> io::Result<usize> {
         let worker = self.slots.len();
@@ -293,7 +294,6 @@ impl DistBackend {
             retiring: false,
             outstanding_ping: None,
             rtt: swt_obs::registry::global().histogram(&format!("dist.rtt_ns.w{worker}")),
-            stats: None,
         });
         self.live.worker_added(worker);
         Ok(worker)
@@ -328,25 +328,8 @@ impl DistBackend {
         swt_obs::warn!("swt_dist", "worker {worker} lost: {reason}");
         swt_obs::counter!("dist.workers_lost").inc();
         self.lost += 1;
-        let slot = &mut self.slots[worker];
-        slot.alive = false;
-        slot.outstanding_ping = None;
-        if let Some(stream) = slot.writer.take() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        if let Some(child) = slot.child.as_mut() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        if let Some(id) = slot.current.take() {
-            if let Some((cand, _)) = self.inflight.get(&id) {
-                swt_obs::counter!("dist.reassigned").inc();
-                self.reassigned += 1;
-                swt_obs::info!("swt_dist", "reassigning candidate {id} from dead worker {worker}");
-                self.pending.push_front(cand.clone());
-            }
-        }
-        self.live.worker_lost(worker);
+        self.reclaim(worker);
+        self.close_slot(worker);
         self.sync_live_queue();
         if self.slots.iter().any(|s| s.alive) {
             Ok(())
@@ -358,8 +341,21 @@ impl DistBackend {
         }
     }
 
-    /// Close a slot during orderly teardown: same cleanup as a loss, but it
-    /// is not one — no loss counter, no reassignment.
+    /// Put `worker`'s in-flight candidate back at the front of the pending
+    /// queue, so it is the next dispatch.
+    fn reclaim(&mut self, worker: usize) {
+        if let Some(id) = self.slots[worker].current.take() {
+            if let Some((cand, _)) = self.inflight.get(&id) {
+                swt_obs::counter!("dist.reassigned").inc();
+                self.reassigned += 1;
+                swt_obs::info!("swt_dist", "reassigning candidate {id} from worker {worker}");
+                self.pending.push_front(cand.clone());
+            }
+        }
+    }
+
+    /// Close a slot's socket and reap its process. On its own this is the
+    /// orderly-teardown half of a loss: no loss counter, no reassignment.
     fn close_slot(&mut self, worker: usize) {
         let slot = &mut self.slots[worker];
         slot.alive = false;
@@ -443,7 +439,7 @@ impl DistBackend {
     }
 
     /// Accept every connection waiting on the (non-blocking) listener and
-    /// run the join protocol on each.
+    /// run the admission protocol on each.
     fn poll_joins(&mut self) -> io::Result<()> {
         loop {
             match self.listener.accept() {
@@ -454,55 +450,47 @@ impl DistBackend {
         }
     }
 
-    /// The join protocol on one mid-run connection: read `Hello`, validate
-    /// the version, then either admit (HelloAck + fresh slot) or refuse
-    /// (`Error` frame) when the pool is at `max_workers`. A malformed or
-    /// mismatched join never aborts the run — the connection is dropped and
-    /// the run continues on the existing pool.
-    fn handle_join(&mut self, stream: TcpStream) -> io::Result<()> {
-        let mut stream = stream;
+    /// The admission protocol on one connection, at launch and mid-run
+    /// alike: read `Hello`, validate the version, then either admit
+    /// (`HelloAck` + fresh slot) or refuse with an `Error` frame — an
+    /// unreadable or non-Hello opener, a version mismatch, or a pool already
+    /// at `max_workers`. A refused connection is dropped; it never aborts
+    /// the run.
+    fn handle_join(&mut self, mut stream: TcpStream) -> io::Result<()> {
         stream.set_nonblocking(false)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_secs(10)))?;
         let mut buf = Vec::new();
-        let hello = match read_frame(&mut stream, &mut buf).and_then(|ty| Msg::decode(ty, &buf)) {
-            Ok(msg) => msg,
-            Err(e) => {
-                swt_obs::warn!("swt_dist", "join attempt with unreadable Hello dropped: {e}");
-                return Ok(());
-            }
-        };
-        let Msg::Hello { version, worker_id, pid } = hello else {
-            swt_obs::warn!(
-                "swt_dist",
-                "join attempt opened with frame {:#04x}, not Hello; dropped",
-                hello.frame_type()
-            );
-            return Ok(());
-        };
-        // If this is a process we spawned (join injection), take ownership
-        // of its handle so it gets reaped with its slot.
+        let (version, worker_id, pid) =
+            match read_frame(&mut stream, &mut buf).and_then(|ty| Msg::decode(ty, &buf)) {
+                Ok(Msg::Hello { version, worker_id, pid }) => (version, worker_id, pid),
+                Ok(other) => {
+                    let reason = format!("expected Hello, got frame {:#04x}", other.frame_type());
+                    refuse(&mut stream, &reason);
+                    return Ok(());
+                }
+                Err(e) => {
+                    refuse(&mut stream, &format!("unreadable Hello: {e}"));
+                    return Ok(());
+                }
+            };
+        // If this is a process we spawned, take ownership of its handle so
+        // it gets reaped with its slot.
         let child = self.joining.iter().position(|c| c.id() == pid).map(|i| self.joining.remove(i));
         if version != PROTOCOL_VERSION {
             let err = WireError::VersionMismatch { ours: PROTOCOL_VERSION, theirs: version };
-            send_error(&mut stream, &err.to_string());
+            refuse(&mut stream, &format!("pid {pid}: {err}"));
             reap(child);
-            swt_obs::warn!("swt_dist", "join from pid {pid} refused: {err}");
             return Ok(());
         }
         if self.live_workers() >= self.max_workers {
             swt_obs::counter!("dist.joins_rejected").inc();
             self.rejected += 1;
-            send_error(
+            refuse(
                 &mut stream,
                 &format!("join rejected: pool already at max_workers={}", self.max_workers),
             );
             reap(child);
-            swt_obs::info!(
-                "swt_dist",
-                "join from pid {pid} rejected at max_workers={}",
-                self.max_workers
-            );
             return Ok(());
         }
         let ack = Msg::HelloAck { version: PROTOCOL_VERSION, run: self.run.clone() };
@@ -510,20 +498,29 @@ impl DistBackend {
             ack.encode().and_then(|payload| write_frame(&mut stream, ack.frame_type(), &payload));
         if let Err(e) = sent {
             reap(child);
-            swt_obs::warn!("swt_dist", "join from pid {pid} died during HelloAck: {e}");
+            swt_obs::warn!("swt_dist", "worker pid {pid} died during HelloAck: {e}");
             return Ok(());
         }
         stream.set_read_timeout(None)?;
         let slot = self.add_slot(child, stream)?;
-        swt_obs::counter!("dist.workers_joined").inc();
-        self.joined += 1;
-        swt_obs::info!(
-            "swt_dist",
-            "worker joined mid-run as slot {slot} (hello id {worker_id}, pid {pid}); \
-             pool now {} live / window {}",
-            self.live_workers(),
-            self.window
-        );
+        if slot < self.initial_workers {
+            swt_obs::info!(
+                "swt_dist",
+                "worker {slot} connected (hello id {worker_id}, pid {pid}; {}/{})",
+                slot + 1,
+                self.initial_workers
+            );
+        } else {
+            swt_obs::counter!("dist.workers_joined").inc();
+            self.joined += 1;
+            swt_obs::info!(
+                "swt_dist",
+                "worker joined mid-run as slot {slot} (hello id {worker_id}, pid {pid}); \
+                 pool now {} live / window {}",
+                self.live_workers(),
+                self.window
+            );
+        }
         self.flush()
     }
 
@@ -711,13 +708,7 @@ impl DistBackend {
         }
         swt_obs::info!("swt_dist", "worker {worker} retired and closed ({reason})");
         swt_obs::counter!("dist.workers_retired").inc();
-        if let Some(id) = self.slots[worker].current.take() {
-            if let Some((cand, _)) = self.inflight.get(&id) {
-                swt_obs::counter!("dist.reassigned").inc();
-                self.reassigned += 1;
-                self.pending.push_front(cand.clone());
-            }
-        }
+        self.reclaim(worker);
         self.close_slot(worker);
         self.sync_live_queue();
         if self.slots.iter().any(|s| s.alive) || self.inflight.is_empty() {
@@ -730,65 +721,34 @@ impl DistBackend {
         }
     }
 
-    /// Graceful teardown: send `Shutdown` to every live worker, drain the
-    /// final `Stats` frames they flush on the way out, fold every worker's
-    /// latest snapshot into the process-global registry, and return the
-    /// run's [`DistRunStats`]. After this, `Drop` is a no-op.
+    /// Graceful teardown: send `Shutdown` to every live worker, fold the
+    /// final snapshots they flush on the way out, hand back the run's
+    /// [`DistRunStats`] with per-worker totals read from the settled live
+    /// view, and fold those totals into the process-global registry. After
+    /// this, `Drop` is a no-op.
     pub fn finish(&mut self) -> io::Result<DistRunStats> {
         self.finished = true;
-        for worker in 0..self.slots.len() {
-            if self.slots[worker].alive && self.slots[worker].writer.is_some() {
-                let _ = self.send_to(worker, &Msg::Shutdown);
-            }
-        }
-        // Workers answer Shutdown with a final Stats frame and close their
+        self.send_shutdown();
+        // Workers answer Shutdown with a final snapshot and close their
         // socket; wait (bounded) for every live socket to drain. A worker
-        // that stalls here keeps its last per-Result snapshot — cumulative
+        // that stalls here keeps its last Result's snapshot — cumulative
         // snapshots make the fallback lossy only for post-last-Result work.
         let deadline = Instant::now() + self.timeout;
         while self.slots.iter().any(|s| s.alive) && Instant::now() < deadline {
             match self.rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(Event::Msg { worker, msg }) => match msg {
-                    Msg::Stats { stats } | Msg::Result { stats, .. } => {
-                        self.live.fold_metrics(worker, &stats);
-                        self.slots[worker].stats = Some(stats);
-                    }
-                    Msg::Telemetry { telemetry } => {
-                        self.live.apply_telemetry(worker, &telemetry);
-                    }
-                    _ => {}
-                },
+                Ok(Event::Msg { worker, msg: Msg::Telemetry { telemetry } }) => {
+                    self.live.apply_telemetry(worker, &telemetry);
+                }
+                Ok(Event::Msg { .. }) => {}
                 Ok(Event::Gone { worker, .. }) => self.close_slot(worker),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => break,
             }
         }
-        for worker in 0..self.slots.len() {
-            self.close_slot(worker);
-        }
-        for child in &mut self.joining {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        self.joining.clear();
-        for slot in &mut self.slots {
-            if let Some(reader) = slot.reader.take() {
-                let _ = reader.join();
-            }
-        }
-
-        let per_worker: Vec<(usize, WorkerMetrics)> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.stats.clone().map(|m| (i, m)))
-            .collect();
-        // Settle the live view on exactly the snapshots the run report will
-        // use, so a final `/status` poll and `report.json` agree.
-        for (worker, metrics) in &per_worker {
-            self.live.fold_metrics(*worker, metrics);
-        }
+        self.reap_all();
         self.sync_live_queue();
+
+        let per_worker = self.live.worker_metrics();
         // Fold worker-process totals into this process's registry so one
         // `RunReport::capture()` after the run reports whole-run sums.
         // Gated: a disabled-observability run must stay metrics-silent.
@@ -807,6 +767,33 @@ impl DistBackend {
             grown: self.grown,
             retired: self.retired,
         })
+    }
+
+    /// Ask every connected worker to exit cleanly.
+    fn send_shutdown(&mut self) {
+        for worker in 0..self.slots.len() {
+            if self.slots[worker].writer.is_some() {
+                let _ = self.send_to(worker, &Msg::Shutdown);
+            }
+        }
+    }
+
+    /// Close every slot, reap every child (admitted or not) and join the
+    /// reader threads. `close_slot` SIGKILLs — a no-op for workers that
+    /// already exited on Shutdown, and it ends stragglers (e.g.
+    /// mid-evaluation after an aborted run) without blocking.
+    fn reap_all(&mut self) {
+        for worker in 0..self.slots.len() {
+            self.close_slot(worker);
+        }
+        for child in self.joining.drain(..) {
+            reap(Some(child));
+        }
+        for slot in &mut self.slots {
+            if let Some(reader) = slot.reader.take() {
+                let _ = reader.join();
+            }
+        }
     }
 }
 
@@ -839,9 +826,7 @@ impl EvalBackend for DistBackend {
         loop {
             match self.rx.recv_timeout(self.interval) {
                 Ok(Event::Msg { worker, msg }) => match msg {
-                    Msg::Result { id, outcome, stats, .. } => {
-                        self.live.fold_metrics(worker, &stats);
-                        self.slots[worker].stats = Some(stats);
+                    Msg::Result { id, outcome } => {
                         if self.slots[worker].current == Some(id) {
                             self.slots[worker].current = None;
                         }
@@ -858,7 +843,7 @@ impl EvalBackend for DistBackend {
                         return Ok(BackendResult { cand, t_start, t_end, outcome });
                     }
                     Msg::Telemetry { telemetry } => {
-                        // Monitoring stream: fold and keep going. A stale
+                        // The metrics channel: fold and keep going. A stale
                         // seq is counted by the view, never an error.
                         self.live.apply_telemetry(worker, &telemetry);
                     }
@@ -871,11 +856,6 @@ impl EvalBackend for DistBackend {
                                 swt_obs::counter!("dist.heartbeats").inc();
                             }
                         }
-                    }
-                    Msg::Stats { stats } => {
-                        // An early final snapshot (worker winding down);
-                        // keep it — it supersedes the per-Result one.
-                        self.slots[worker].stats = Some(stats);
                     }
                     Msg::Error { message } => {
                         self.mark_lost(worker, &format!("worker reported: {message}"))?;
@@ -915,36 +895,12 @@ impl Drop for DistBackend {
             return;
         }
         // Graceful first: a Shutdown frame lets idle workers exit cleanly.
-        for worker in 0..self.slots.len() {
-            if self.slots[worker].writer.is_some() {
-                let _ = self.send_to(worker, &Msg::Shutdown);
-            }
-        }
-        for worker in 0..self.slots.len() {
-            // close_slot SIGKILLs — a no-op for workers that already exited
-            // on Shutdown, and it ends stragglers (e.g. mid-evaluation
-            // after an aborted run) without blocking the coordinator.
-            self.close_slot(worker);
-        }
-        for child in &mut self.joining {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        for slot in &mut self.slots {
-            if let Some(reader) = slot.reader.take() {
-                let _ = reader.join();
-            }
-        }
+        self.send_shutdown();
+        self.reap_all();
     }
 }
 
-fn reap_all(children: &mut [Option<Child>]) {
-    for child in children.iter_mut().flatten() {
-        let _ = child.kill();
-        let _ = child.wait();
-    }
-}
-
+/// Kill and wait for a child we spawned, if there is one.
 fn reap(child: Option<Child>) {
     if let Some(mut child) = child {
         let _ = child.kill();
@@ -952,51 +908,14 @@ fn reap(child: Option<Child>) {
     }
 }
 
-/// Best-effort `Error` frame to a peer we are about to drop.
-fn send_error(stream: &mut TcpStream, message: &str) {
-    let msg = Msg::Error { message: message.to_string() };
+/// Refuse a connection: log why, then a best-effort `Error` frame before
+/// the caller drops it.
+fn refuse(stream: &mut TcpStream, reason: &str) {
+    swt_obs::warn!("swt_dist", "connection refused: {reason}");
+    let msg = Msg::Error { message: reason.to_string() };
     if let Ok(payload) = msg.encode() {
         let _ = write_frame(stream, msg.frame_type(), &payload);
     }
-}
-
-/// Server side of the handshake on a fresh connection during startup: read
-/// `Hello`, validate, reply `HelloAck`, and park the stream in its worker
-/// slot. (Mid-run connections go through the join protocol instead.)
-fn handshake(
-    stream: TcpStream,
-    run: &RunSpec,
-    streams: &mut [Option<TcpStream>],
-) -> io::Result<usize> {
-    let mut stream = stream;
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    let mut buf = Vec::new();
-    let ty = read_frame(&mut stream, &mut buf).map_err(io::Error::from)?;
-    let msg = Msg::decode(ty, &buf).map_err(io::Error::from)?;
-    let Msg::Hello { version, worker_id, pid } = msg else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("expected Hello, got frame {ty:#04x}"),
-        ));
-    };
-    if version != PROTOCOL_VERSION {
-        let err = WireError::VersionMismatch { ours: PROTOCOL_VERSION, theirs: version };
-        send_error(&mut stream, &err.to_string());
-        return Err(err.into());
-    }
-    let slot = worker_id as usize;
-    if slot >= streams.len() || streams[slot].is_some() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("bogus or duplicate worker id {worker_id} (pid {pid})"),
-        ));
-    }
-    let ack = Msg::HelloAck { version: PROTOCOL_VERSION, run: run.clone() };
-    let payload = ack.encode().map_err(io::Error::from)?;
-    write_frame(&mut stream, ack.frame_type(), &payload).map_err(io::Error::from)?;
-    stream.set_read_timeout(None)?;
-    streams[slot] = Some(stream);
-    Ok(slot)
 }
 
 fn reader_loop(worker: usize, mut stream: TcpStream, tx: mpsc::Sender<Event>) {
@@ -1017,5 +936,77 @@ fn reader_loop(worker: usize, mut stream: TcpStream, tx: mpsc::Sender<Event>) {
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use swt_core::TransferScheme;
+    use swt_data::{AppKind, DataScale};
+
+    /// Open a connection to the coordinator and send one raw frame on it.
+    fn connect_with(addr: &str, ty: u8, payload: &[u8]) -> io::Result<TcpStream> {
+        let mut stream = TcpStream::connect(addr)?;
+        write_frame(&mut stream, ty, payload)?;
+        Ok(stream)
+    }
+
+    fn hello(version: u32, worker_id: u64) -> Result<Vec<u8>, WireError> {
+        Msg::Hello { version, worker_id, pid: 0 }.encode()
+    }
+
+    /// The first frame the coordinator sent back on `stream`.
+    fn reply(stream: &mut TcpStream) -> io::Result<Msg> {
+        let mut buf = Vec::new();
+        let ty = read_frame(stream, &mut buf)?;
+        Ok(Msg::decode(ty, &buf)?)
+    }
+
+    #[test]
+    fn bad_hellos_at_startup_are_refused_and_the_pool_still_fills() -> io::Result<()> {
+        let nas = NasConfig::quick(TransferScheme::Lcs, 4, 2, 1);
+        let mut dist = DistConfig::new(AppKind::Uno, DataScale::Quick, 1, PathBuf::from("unused"));
+        dist.worker_exe = Some(PathBuf::from("unused")); // nothing is spawned here
+        dist.max_workers = 3;
+        let mut backend = DistBackend::bind(&nas, &dist)?;
+        let addr = backend.addr.clone();
+
+        // The bad peers connect first, so the listener accepts them first.
+        let mut stale = connect_with(&addr, 0x01, &hello(PROTOCOL_VERSION - 1, 0)?)?;
+        let mut garbage = connect_with(&addr, 0x01, &[0xde, 0xad, 0xbe])?;
+        let mut good = Vec::new();
+        for worker_id in 0..2 {
+            good.push(connect_with(&addr, 0x01, &hello(PROTOCOL_VERSION, worker_id)?)?);
+        }
+        backend.admit_initial()?;
+
+        assert_eq!(backend.live_workers(), 2, "the pool must still fill to n");
+        for (what, peer) in [("version 6", &mut stale), ("garbage", &mut garbage)] {
+            let got = reply(peer)?;
+            assert!(
+                matches!(got, Msg::Error { .. }),
+                "{what} Hello must get an Error, got {got:?}"
+            );
+        }
+        for peer in &mut good {
+            let got = reply(peer)?;
+            assert!(matches!(got, Msg::HelloAck { version: PROTOCOL_VERSION, .. }));
+        }
+        assert_eq!((backend.joined, backend.rejected), (0, 0), "startup admissions are not joins");
+
+        // The same path admits later arrivals as joins, up to max_workers.
+        for (worker_id, admitted) in [(2, true), (3, false)] {
+            let mut peer = connect_with(&addr, 0x01, &hello(PROTOCOL_VERSION, worker_id)?)?;
+            backend.poll_joins()?;
+            let got = reply(&mut peer)?;
+            assert_eq!(
+                matches!(got, Msg::HelloAck { .. }),
+                admitted,
+                "joiner {worker_id}: {got:?}"
+            );
+        }
+        assert_eq!((backend.live_workers(), backend.joined, backend.rejected), (3, 1, 1));
+        Ok(())
     }
 }

@@ -12,38 +12,9 @@ use std::io::{Read, Write};
 pub use swt_wire::{put_string, Cursor, WireError, MAX_FRAME_LEN};
 
 /// Protocol version exchanged in the handshake. Bump on any frame-layout
-/// change; coordinator and worker refuse mismatched peers.
-///
-/// v2: `Result` frames carry the worker's cumulative metrics snapshot, a
-/// `Stats` frame (0x09) delivers the final snapshot at shutdown, and
-/// `HelloAck`'s `RunSpec` gains the per-worker provider-cache byte budget.
-///
-/// v3: a `Telemetry` frame (0x0A) streams seq-numbered span/gauge snapshots
-/// plus timeline event batches between `Result`s. The addition is purely
-/// additive — every v2 frame decodes unchanged — but the version is bumped
-/// because v2 peers would drop the connection on the unknown type byte.
-///
-/// v4: multi-fidelity fields travel as *optional tails* — fixed-size field
-/// groups appended after each frame's v3 payload. `HelloAck` gains the run's
-/// fidelity knobs (prefilter quantile, convergence window/min-delta), `Task`
-/// the candidate's rung and per-task epoch override, and `Result` the
-/// worker's stop reason plus echoed rung. A v3-shaped payload (no tail)
-/// still decodes, with fidelity-off defaults; a *partial* tail is malformed.
-///
-/// v5: `HelloAck`'s `RunSpec` gains a variable-length `store_url` tail
-/// (`[u16 len][bytes]`) after the v4 fidelity group, selecting the remote
-/// checkpoint store (`tcp://host:port`); empty or absent means the shared
-/// `DirStore` directory. Both the v3-shaped and v4-shaped payloads still
-/// decode (with an empty url); a partial url tail is malformed.
-///
-/// v6: autoscaling. A `Retire` frame (0x0B) drains an idle worker out of the
-/// pool (same orderly teardown as `Shutdown`, but counted as a retirement),
-/// and `HelloAck`'s `RunSpec` gains an autoscale tail (`[u32 min_workers]`
-/// `[u32 max_workers]`) after the v5 store tail so workers can log that they
-/// joined an elastic pool. `(0, 0)` means autoscale off; any other pair must
-/// satisfy `1 ≤ min ≤ max ≤ MAX_POOL_WORKERS`. All earlier-shaped payloads
-/// still decode (autoscale off); a partial tail is malformed.
-pub const PROTOCOL_VERSION: u32 = 6;
+/// change: coordinator and worker refuse a peer whose version differs, so
+/// each frame has exactly one layout (see [`crate::wire`]).
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Write one frame. Counts `dist.frames_tx`.
 pub fn write_frame(w: &mut impl Write, ty: u8, payload: &[u8]) -> Result<(), WireError> {

@@ -13,14 +13,17 @@
 //! requirement for distributed NAS): the runner's deterministic dispatch
 //! window plus per-candidate seeding makes distributed runs — even runs
 //! where workers are SIGKILLed mid-flight — bit-identical to the
-//! single-process thread pool. See DESIGN.md §10 for the protocol and
-//! failure model.
+//! single-process thread pool. The protocol (wire v7) has one layout per
+//! frame, one admission path into the worker pool, and one metrics channel
+//! from worker to coordinator (the cumulative `Telemetry` snapshot). See
+//! DESIGN.md §10 for the protocol and failure model.
 //!
 //! Modules: [`frame`] (framing + errors), [`wire`] (typed messages),
 //! [`coordinator`] ([`DistBackend`]), [`worker`] (the `swt dist-worker`
-//! loop), [`spawn`] (child-process management), [`live`] (the streamed
-//! in-flight run view behind `swt dist-run --serve`), [`policy`] (the
-//! autoscaling decision function behind `--autoscale`).
+//! loop), [`spawn`] (child-process management), [`live`] (the in-flight
+//! run view every worker snapshot folds into, served by
+//! `swt dist-run --serve`), [`policy`] (the autoscaling decision function
+//! behind `--autoscale`).
 
 pub mod coordinator;
 pub mod frame;
@@ -71,7 +74,8 @@ pub struct JoinPlan {
 
 /// Per-run statistics the coordinator hands back from
 /// [`DistBackend::finish`]: each worker process's last cumulative metrics
-/// snapshot plus the elasticity/failure tallies for this run. Instance-local
+/// snapshot (read from the settled [`LiveRunView`]) plus the
+/// elasticity/failure tallies for this run. Instance-local
 /// on purpose — tests assert conservation on these without diffing the
 /// process-global registry.
 #[derive(Debug, Clone, Default)]

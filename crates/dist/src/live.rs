@@ -1,22 +1,26 @@
 //! The coordinator's in-flight picture of a distributed run.
 //!
-//! Workers stream [`Telemetry`] frames (cumulative span/gauge snapshots
-//! plus timeline-event deltas) between `Result`s; the coordinator folds
-//! each one into a [`LiveRunView`] — per-worker gauges, queue depth,
-//! candidates in flight, and an EWMA of per-candidate wall cost. The view
-//! implements [`ServeSource`], so `swt dist-run --serve` can expose it as
-//! `/status` (JSON), `/metrics` (Prometheus text) and `/trace` (Chrome
-//! trace JSON) while the run is still going.
+//! Each worker streams one kind of metrics frame: a cumulative,
+//! seq-numbered [`Telemetry`] snapshot (counters, histograms, spans,
+//! gauges, plus a timeline-event delta) with every `Result`, with every
+//! `Pong` and once at teardown. The coordinator folds every snapshot into a
+//! [`LiveRunView`] — the only place worker metrics are folded — alongside
+//! its own dispatch picture: queue depth, candidates in flight, and an EWMA
+//! of per-candidate wall cost. The view implements [`ServeSource`], so
+//! `swt dist-run --serve` can expose it as `/status` (JSON), `/metrics`
+//! (Prometheus text) and `/trace` (Chrome trace JSON) while the run is
+//! still going, and `DistBackend::finish` reads the run's per-worker
+//! totals back out of it once the final snapshots have landed.
 //!
-//! Consistency model: everything here is *monitoring*, deliberately
-//! decoupled from scheduling. Frames apply only when their per-worker
-//! `seq` is strictly greater than the last applied one — a reordered or
-//! replayed frame counts as stale and changes nothing — so lost or late
-//! telemetry degrades the view to staleness, never corruption, and never
-//! perturbs the run itself.
+//! Consistency model: snapshots apply only when their per-worker `seq` is
+//! strictly greater than the last applied one — a reordered or replayed
+//! frame counts as stale and changes nothing — so lost or late frames
+//! degrade the view to staleness, never corruption. Nothing here feeds
+//! back into scheduling.
 
 use crate::policy::PoolSnapshot;
 use crate::wire::{GaugeSnap, SpanTotalRow, Telemetry, WorkerMetrics};
+use crate::DistRunStats;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Mutex, MutexGuard};
@@ -62,7 +66,8 @@ pub struct WorkerView {
     /// …and the previous snapshot's, so deltas survive the overwrite.
     pub prev_spans: Vec<SpanTotalRow>,
     pub gauges: Vec<GaugeSnap>,
-    /// Latest cumulative counter/histogram snapshot (from `Result`/`Stats`).
+    /// Latest cumulative counter/histogram snapshot (`None` until the
+    /// first snapshot lands).
     pub metrics: Option<WorkerMetrics>,
 }
 
@@ -264,16 +269,8 @@ impl LiveRunView {
         inner.workers[worker].current = None;
     }
 
-    /// Keep `worker`'s latest cumulative counter/histogram snapshot
-    /// (latest-wins, same rule the run report uses).
-    pub fn fold_metrics(&self, worker: usize, metrics: &WorkerMetrics) {
-        let mut inner = self.lock();
-        inner.ensure_worker(worker);
-        inner.workers[worker].metrics = Some(metrics.clone());
-    }
-
-    /// Fold one telemetry frame from `worker`. Returns `false` (and counts
-    /// a stale frame) when its seq does not advance the stream.
+    /// Fold one snapshot from `worker`. Returns `false` (and counts a stale
+    /// frame) when its seq does not advance the stream.
     pub fn apply_telemetry(&self, worker: usize, t: &Telemetry) -> bool {
         let mut inner = self.lock();
         inner.ensure_worker(worker);
@@ -288,6 +285,7 @@ impl LiveRunView {
             w.alive = true;
             w.uptime_ns = t.uptime_ns;
             w.dropped_events = w.dropped_events.saturating_add(t.dropped_events);
+            w.metrics = Some(t.metrics.clone());
             w.prev_spans = std::mem::replace(&mut w.spans, t.spans.clone());
             w.gauges = t.gauges.clone();
         }
@@ -325,18 +323,20 @@ impl LiveRunView {
         self.lock().results
     }
 
-    /// Merge of the latest counter/histogram snapshot of every worker —
-    /// the live analogue of `DistRunStats::workers_report`, and equal to
-    /// it once the final `Stats` frames have been folded.
-    pub fn workers_report(&self) -> RunReport {
+    /// `(worker slot, latest counter/histogram snapshot)` for every worker
+    /// that delivered one — `DistRunStats::per_worker` once the run's
+    /// final snapshots have been folded.
+    pub fn worker_metrics(&self) -> Vec<(usize, WorkerMetrics)> {
         let inner = self.lock();
-        let mut merged = RunReport::default();
-        for w in &inner.workers {
-            if let Some(m) = &w.metrics {
-                merged.merge(&m.to_report());
-            }
-        }
-        merged
+        let snapshots = inner.workers.iter().map(|w| w.metrics.clone());
+        snapshots.enumerate().filter_map(|(i, m)| Some((i, m?))).collect()
+    }
+
+    /// Merge of the latest counter/histogram snapshot of every worker —
+    /// equal to `DistRunStats::workers_report` once the run has finished.
+    pub fn workers_report(&self) -> RunReport {
+        DistRunStats { per_worker: self.worker_metrics(), ..DistRunStats::default() }
+            .workers_report()
     }
 }
 
@@ -478,6 +478,7 @@ mod tests {
         Telemetry {
             seq,
             uptime_ns: seq * 1_000,
+            metrics: WorkerMetrics::default(),
             spans: vec![SpanTotalRow {
                 path: "nas.eval".to_string(),
                 count: seq,
@@ -503,6 +504,28 @@ mod tests {
         assert_eq!(w.stale_frames, 2);
         assert_eq!(w.span_total_ns("nas.eval"), 1_500);
         assert_eq!(w.span_delta_ns("nas.eval"), 1_000, "delta spans snapshots 1 → 3");
+    }
+
+    #[test]
+    fn per_worker_totals_come_from_the_latest_snapshot_only() {
+        use swt_obs::report::CounterRow;
+        let live = LiveRunView::new();
+        live.worker_added(0); // never reports: absent from the totals
+        let with_count = |seq: u64, value: u64| Telemetry {
+            metrics: WorkerMetrics {
+                counters: vec![CounterRow { name: "nn.epochs_trained".into(), value }],
+                histograms: vec![],
+            },
+            ..frame(seq)
+        };
+        assert!(live.apply_telemetry(1, &with_count(1, 3)));
+        assert!(live.apply_telemetry(1, &with_count(2, 5)));
+        assert!(!live.apply_telemetry(1, &with_count(1, 3)), "an older snapshot is stale");
+        assert!(live.apply_telemetry(2, &with_count(1, 4)));
+        let per_worker = live.worker_metrics();
+        let ids: Vec<usize> = per_worker.iter().map(|(i, _)| *i).collect();
+        assert_eq!(ids, [1, 2]);
+        assert_eq!(live.workers_report().counter("nn.epochs_trained"), 5 + 4);
     }
 
     #[test]
@@ -541,17 +564,17 @@ mod tests {
             assert_eq!(stopped0.get(kind).and_then(Json::as_f64), Some(0.0));
         }
         // Fold a snapshot carrying fidelity counters.
-        live.fold_metrics(
-            0,
-            &WorkerMetrics {
-                counters: vec![
-                    CounterRow { name: "fidelity.stopped.converged".into(), value: 3 },
-                    CounterRow { name: "fidelity.stopped.prefiltered".into(), value: 5 },
-                    CounterRow { name: "nas.candidates_evaluated".into(), value: 9 },
-                ],
-                histograms: vec![],
-            },
-        );
+        let metrics = WorkerMetrics {
+            counters: vec![
+                CounterRow { name: "fidelity.stopped.converged".into(), value: 3 },
+                CounterRow { name: "fidelity.stopped.prefiltered".into(), value: 5 },
+                CounterRow { name: "nas.candidates_evaluated".into(), value: 9 },
+            ],
+            histograms: vec![],
+        };
+        assert!(live.apply_telemetry(0, &Telemetry { metrics, ..frame(1) }));
+        // A stale snapshot must not roll the counts back.
+        assert!(!live.apply_telemetry(0, &frame(1)));
         assert_eq!(live.workers()[0].stopped("converged"), 3);
         assert_eq!(live.workers()[0].stopped("prefiltered"), 5);
         assert_eq!(live.workers()[0].stopped("pruned"), 0);

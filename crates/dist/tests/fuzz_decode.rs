@@ -1,9 +1,9 @@
-//! Seeded fuzz coverage of the wire protocol's decode surface (satellite of
-//! the elastic-matrix PR): every frame type under truncation, bit flips,
-//! random payloads, unknown tags, and hostile length prefixes must come
-//! back as a typed [`WireError`] or a valid `Msg` — never a panic, never an
-//! unbounded allocation. Deterministic (fixed seeds, no time/randomness
-//! from the environment) so a failure always reproduces.
+//! Seeded fuzz coverage of the wire protocol's decode surface: every frame
+//! type under truncation, bit flips, random payloads, unknown tags, and
+//! hostile length prefixes must come back as a typed [`WireError`] or a
+//! valid `Msg` — never a panic, never an unbounded allocation.
+//! Deterministic (fixed seeds, no time/randomness from the environment) so
+//! a failure always reproduces.
 
 use std::io::Cursor as IoCursor;
 use swt_core::{TransferScheme, TransferStats};
@@ -19,16 +19,17 @@ use swt_obs::report::{CounterRow, HistogramRow};
 use swt_space::ArchSeq;
 use swt_tensor::Rng;
 
-/// Every known frame-type byte (0x01 Hello … 0x0B Retire).
-const FRAME_TYPES: std::ops::RangeInclusive<u8> = 0x01..=0x0B;
+/// Every known frame-type byte (0x01 Hello … 0x0B Retire; 0x09 is
+/// unassigned).
+const FRAME_TYPES: [u8; 10] = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x0A, 0x0B];
 
-/// The corpus HelloAck's store endpoint — non-empty so the wire-v5 store
-/// tail is actually exercised by the truncation sweeps.
+/// The corpus HelloAck's store endpoint — non-empty so the url bytes are
+/// actually exercised by the truncation sweeps.
 const CORPUS_URL: &str = "tcp://127.0.0.1:9999";
 
 /// One valid message of every frame type — the fuzz corpus seeds.
 fn corpus() -> Vec<Msg> {
-    let stats = WorkerMetrics {
+    let metrics = WorkerMetrics {
         counters: vec![
             CounterRow { name: "ckpt.cache.hits".into(), value: 12 },
             CounterRow { name: "tensor.gemm.blocked".into(), value: 4096 },
@@ -59,10 +60,6 @@ fn corpus() -> Vec<Msg> {
                 conv_window: 3,
                 conv_min_delta: 1e-4,
                 store_url: CORPUS_URL.into(),
-                // Nonzero so the wire-v6 autoscale tail carries a real
-                // bound pair through the truncation sweeps.
-                autoscale_min: 1,
-                autoscale_max: 8,
             },
         },
         Msg::Task {
@@ -87,18 +84,16 @@ fn corpus() -> Vec<Msg> {
                 epochs: 1,
                 stop: StopReason::Converged,
             },
-            stats: stats.clone(),
-            rung: 2,
         },
         Msg::Ping { nonce: u64::MAX },
         Msg::Pong { nonce: 0 },
         Msg::Shutdown,
         Msg::Error { message: "checkpoint store unreachable".into() },
-        Msg::Stats { stats },
         Msg::Telemetry {
             telemetry: Telemetry {
                 seq: u64::MAX - 1, // hostile-adjacent seq must survive the trip
                 uptime_ns: 123_456_789,
+                metrics,
                 spans: vec![SpanTotalRow { path: "nas.eval".into(), count: 4, total_ns: 99 }],
                 gauges: vec![GaugeSnap { name: "pool.queue_depth".into(), value: -1, max: 8 }],
                 names: vec!["nas.eval".into(), "nas.dispatch".into()],
@@ -113,132 +108,24 @@ fn corpus() -> Vec<Msg> {
     ]
 }
 
-/// Byte length of a frame type's wire-v4 fidelity tail (0 = no tail).
-fn fidelity_tail_len(ty: u8) -> usize {
-    match ty {
-        0x02 => 20, // prefilter f64 + conv_window u32 + conv_min_delta f64
-        0x03 => 6,  // rung u8 + has_epochs u8 + epochs u32
-        0x04 => 2,  // stop u8 + rung u8
-        _ => 0,
-    }
-}
-
-/// Byte length of the corpus message's wire-v5 store tail (HelloAck only:
-/// u16 length prefix + url bytes).
-fn store_tail_len(ty: u8) -> usize {
-    if ty == 0x02 {
-        2 + CORPUS_URL.len()
-    } else {
-        0
-    }
-}
-
-/// Byte length of the wire-v6 autoscale tail (HelloAck only: min + max u32).
-fn autoscale_tail_len(ty: u8) -> usize {
-    if ty == 0x02 {
-        8
-    } else {
-        0
-    }
-}
-
-/// The strict prefixes of a corpus payload that must still decode — the
-/// optional-tail version boundaries. Tail-less frames have none; fidelity
-/// frames have the v3 boundary; HelloAck additionally has the v4 boundary
-/// (fidelity kept, store tail dropped) and the v5 boundary (store tail
-/// kept, autoscale tail dropped).
-fn valid_cuts(ty: u8, len: usize) -> Vec<usize> {
-    let mut cuts = Vec::new();
-    let (fid, store, auto) = (fidelity_tail_len(ty), store_tail_len(ty), autoscale_tail_len(ty));
-    if fid > 0 {
-        cuts.push(len - auto - store - fid);
-    }
-    if store > 0 {
-        cuts.push(len - auto - store);
-    }
-    if auto > 0 {
-        cuts.push(len - auto);
-    }
-    cuts
-}
-
 #[test]
 fn every_truncation_of_every_frame_is_a_typed_error() {
-    for msg in corpus() {
+    let corpus = corpus();
+    let tags: Vec<u8> = corpus.iter().map(Msg::frame_type).collect();
+    assert_eq!(tags, FRAME_TYPES, "the corpus must hold one message of every frame type");
+    for msg in corpus {
         let payload = msg.encode().expect("corpus must encode");
         assert_eq!(Msg::decode(msg.frame_type(), &payload).expect("corpus round-trip"), msg);
-        let cuts = valid_cuts(msg.frame_type(), payload.len());
-        // Every strict prefix either starves a fixed-width read or leaves a
-        // count without its elements; none may decode, none may panic. The
-        // one carve-out: optional-tail frames (HelloAck/Task/Result) decode
-        // at exactly their version boundaries — the backward-decode
-        // contract (v3 for all three, additionally v4 for HelloAck).
+        // Every field is mandatory, so every strict prefix either starves a
+        // fixed-width read or leaves a count without its elements: none may
+        // decode, none may panic.
         for cut in 0..payload.len() {
-            let got = Msg::decode(msg.frame_type(), &payload[..cut]);
-            if cuts.contains(&cut) {
-                assert!(
-                    got.is_ok(),
-                    "type {:#04x} must decode its version-boundary prefix ({cut} bytes)",
-                    msg.frame_type()
-                );
-            } else {
-                assert!(
-                    got.is_err(),
-                    "type {:#04x} truncated to {cut}/{} bytes decoded successfully",
-                    msg.frame_type(),
-                    payload.len()
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn v3_boundary_prefixes_decode_with_fidelity_defaults() {
-    for msg in corpus() {
-        let ty = msg.frame_type();
-        if fidelity_tail_len(ty) == 0 {
-            continue;
-        }
-        let payload = msg.encode().expect("corpus must encode");
-        let v3 =
-            payload.len() - fidelity_tail_len(ty) - store_tail_len(ty) - autoscale_tail_len(ty);
-        match Msg::decode(ty, &payload[..v3]).expect("v3-shaped prefix must decode") {
-            Msg::HelloAck { run, .. } => {
-                assert_eq!(run.prefilter_quantile, 0.0);
-                assert_eq!((run.conv_window, run.conv_min_delta), (0, 0.0));
-                assert!(!run.eval_fidelity().enabled());
-                assert!(run.store_url.is_empty(), "v3 prefix must default to DirStore");
-            }
-            Msg::Task { cand } => assert_eq!((cand.rung, cand.epochs), (0, None)),
-            Msg::Result { outcome, rung, .. } => {
-                assert_eq!(outcome.stop, StopReason::BudgetExhausted);
-                assert_eq!(rung, 0);
-            }
-            other => panic!("unexpected decode variant for tag {:#04x}: {other:?}", ty),
-        }
-        // HelloAck's v4 boundary keeps the fidelity knobs, drops the url
-        // and the autoscale pair.
-        if ty == 0x02 {
-            let v4 = payload.len() - store_tail_len(ty) - autoscale_tail_len(ty);
-            let Msg::HelloAck { run, .. } =
-                Msg::decode(ty, &payload[..v4]).expect("v4-shaped prefix must decode")
-            else {
-                panic!("HelloAck payload decoded to another variant");
-            };
-            assert_eq!(run.prefilter_quantile, 0.25);
-            assert!(run.store_url.is_empty());
-            assert_eq!((run.autoscale_min, run.autoscale_max), (0, 0));
-
-            // The v5 boundary keeps the url, defaults autoscale to off.
-            let v5 = payload.len() - autoscale_tail_len(ty);
-            let Msg::HelloAck { run, .. } =
-                Msg::decode(ty, &payload[..v5]).expect("v5-shaped prefix must decode")
-            else {
-                panic!("HelloAck payload decoded to another variant");
-            };
-            assert_eq!(run.store_url, CORPUS_URL);
-            assert_eq!((run.autoscale_min, run.autoscale_max), (0, 0));
+            assert!(
+                Msg::decode(msg.frame_type(), &payload[..cut]).is_err(),
+                "type {:#04x} truncated to {cut}/{} bytes decoded successfully",
+                msg.frame_type(),
+                payload.len()
+            );
         }
     }
 }
@@ -249,8 +136,8 @@ fn hostile_fidelity_tails_are_typed_errors() {
     let task = corpus.iter().find(|m| matches!(m, Msg::Task { .. })).unwrap();
     let result = corpus.iter().find(|m| matches!(m, Msg::Result { .. })).unwrap();
 
-    // Out-of-range rung discriminants in Task tails (rung byte sits 6 from
-    // the end) and Result tails (last byte).
+    // Out-of-range rung discriminants in a Task (the rung byte sits 6 from
+    // the end, before the epochs flag and the u32 epochs).
     for rung in [MAX_RUNGS as u8, 0x80, 0xFF] {
         let mut p = task.encode().unwrap();
         let n = p.len();
@@ -259,27 +146,21 @@ fn hostile_fidelity_tails_are_typed_errors() {
             matches!(Msg::decode(0x03, &p), Err(WireError::Malformed(_))),
             "task rung {rung} must be rejected"
         );
-        let mut p = result.encode().unwrap();
-        let n = p.len();
-        p[n - 1] = rung;
-        assert!(
-            matches!(Msg::decode(0x04, &p), Err(WireError::Malformed(_))),
-            "result rung {rung} must be rejected"
-        );
     }
 
-    // Every out-of-range stop discriminant (codes 0–3 are the enum).
+    // Every out-of-range stop discriminant (codes 0–3 are the enum; the
+    // stop code is a Result's last byte).
     for stop in 4..=u8::MAX {
         let mut p = result.encode().unwrap();
         let n = p.len();
-        p[n - 2] = stop;
+        p[n - 1] = stop;
         assert!(
             matches!(Msg::decode(0x04, &p), Err(WireError::Malformed(_))),
             "stop discriminant {stop} must be rejected"
         );
     }
 
-    // Bogus epochs flag in a Task tail.
+    // Bogus epochs flag in a Task.
     for flag in [2u8, 0xFF] {
         let mut p = task.encode().unwrap();
         let n = p.len();
@@ -287,13 +168,12 @@ fn hostile_fidelity_tails_are_typed_errors() {
         assert!(matches!(Msg::decode(0x03, &p), Err(WireError::Malformed(_))));
     }
 
-    // HelloAck tails smuggling NaN/out-of-range knobs. The store tail
-    // (2 + CORPUS_URL.len() bytes) and the 8-byte autoscale tail sit after
-    // the fidelity group.
+    // HelloAcks smuggling NaN/out-of-range knobs. The store url
+    // (2 + CORPUS_URL.len() bytes) sits after the fidelity group.
     let ack = corpus.iter().find(|m| matches!(m, Msg::HelloAck { .. })).unwrap();
     let good = ack.encode().unwrap();
     let n = good.len();
-    let t = 2 + CORPUS_URL.len() + 8;
+    let t = 2 + CORPUS_URL.len();
     for bits in [f64::NAN.to_bits(), 1.0f64.to_bits(), (-0.5f64).to_bits()] {
         let mut p = good.clone();
         p[n - t - 20..n - t - 12].copy_from_slice(&bits.to_le_bytes());
@@ -305,58 +185,12 @@ fn hostile_fidelity_tails_are_typed_errors() {
         assert!(matches!(Msg::decode(0x02, &p), Err(WireError::Malformed(_))));
     }
     // A store-url length prefix promising more bytes than the payload
-    // holds: a partial v5 tail is malformed, never silently defaulted.
-    // (The announced length swallows the autoscale tail and overruns.)
-    for len in [CORPUS_URL.len() as u16 + 9, u16::MAX] {
+    // holds is malformed.
+    for len in [CORPUS_URL.len() as u16 + 1, u16::MAX] {
         let mut p = good.clone();
         p[n - t..n - t + 2].copy_from_slice(&len.to_le_bytes());
         assert!(matches!(Msg::decode(0x02, &p), Err(WireError::Malformed(_))));
     }
-}
-
-#[test]
-fn hostile_autoscale_tails_are_typed_errors() {
-    let ack = corpus().into_iter().find(|m| matches!(m, Msg::HelloAck { .. })).unwrap();
-    let good = ack.encode().unwrap();
-    let n = good.len();
-
-    // Hostile worker-count pairs in the v6 tail: an inverted range, a zero
-    // min with a nonzero max, and bounds past the pool cap must all be
-    // rejected — a worker must never accept a nonsense elastic envelope.
-    for (min, max) in
-        [(5u32, 2u32), (0, 1), (1, swt_dist::MAX_POOL_WORKERS as u32 + 1), (u32::MAX, u32::MAX)]
-    {
-        let mut p = good.clone();
-        p[n - 8..n - 4].copy_from_slice(&min.to_le_bytes());
-        p[n - 4..].copy_from_slice(&max.to_le_bytes());
-        assert!(
-            matches!(
-                Msg::decode(0x02, &p),
-                Err(WireError::Malformed("hostile autoscale worker counts"))
-            ),
-            "autoscale pair ({min}, {max}) must be rejected"
-        );
-    }
-
-    // The full in-range envelope decodes, including the degenerate
-    // single-worker pool and the cap itself.
-    for (min, max) in [(1u32, 1u32), (1, swt_dist::MAX_POOL_WORKERS as u32), (0, 0)] {
-        let mut p = good.clone();
-        p[n - 8..n - 4].copy_from_slice(&min.to_le_bytes());
-        p[n - 4..].copy_from_slice(&max.to_le_bytes());
-        let Msg::HelloAck { run, .. } = Msg::decode(0x02, &p).expect("in-range pair must decode")
-        else {
-            panic!("HelloAck payload decoded to another variant");
-        };
-        assert_eq!((run.autoscale_min, run.autoscale_max), (min, max));
-    }
-
-    // A truncated tail (min present, max missing) is malformed — only the
-    // exact v5 boundary is a valid prefix. Every other cut inside the tail
-    // must also fail (the truncation sweep covers them; pin the worst one).
-    let mut p = good;
-    p.truncate(n - 4);
-    assert!(matches!(Msg::decode(0x02, &p), Err(WireError::Malformed(_))));
 }
 
 #[test]
@@ -411,15 +245,17 @@ fn random_payloads_against_every_tag_never_panic() {
 
 #[test]
 fn hostile_counts_cannot_force_large_allocations() {
-    // A tiny payload claiming u32::MAX counters/histograms: the clamped
-    // capacity plus bounds-checked reads must reject it without ballooning.
-    for ty in [0x04u8, 0x09] {
+    // A tiny snapshot claiming u32::MAX counters (or histograms): the
+    // clamped capacity plus bounds-checked reads must reject it without
+    // ballooning.
+    for empty_counters in [false, true] {
         let mut bad = Vec::new();
-        if ty == 0x04 {
-            bad.extend_from_slice(&[0u8; 8 + 4 * 8 + 4 * 8 + 4]); // id + floats + ints + epochs
+        bad.extend_from_slice(&[0u8; 3 * 8]); // seq + uptime + dropped events
+        if empty_counters {
+            bad.extend_from_slice(&0u32.to_le_bytes());
         }
         bad.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(Msg::decode(ty, &bad).is_err(), "tag {ty:#04x} accepted a hostile count");
+        assert!(Msg::decode(0x0A, &bad).is_err(), "snapshot accepted a hostile count");
     }
     // Same for a Task announcing more arch choices than the payload holds.
     let mut bad = Vec::new();
@@ -432,11 +268,14 @@ fn hostile_counts_cannot_force_large_allocations() {
 
 #[test]
 fn hostile_telemetry_payloads_are_rejected_without_allocation() {
-    // Header: seq + uptime + dropped, then empty span/gauge tables.
+    // Header: seq + uptime + dropped, then empty counter/histogram/span/
+    // gauge tables.
     let header = |out: &mut Vec<u8>| {
         out.extend_from_slice(&1u64.to_le_bytes());
         out.extend_from_slice(&2u64.to_le_bytes());
         out.extend_from_slice(&0u64.to_le_bytes());
+        out.extend_from_slice(&0u32.to_le_bytes()); // counters
+        out.extend_from_slice(&0u32.to_le_bytes()); // histograms
         out.extend_from_slice(&0u32.to_le_bytes()); // spans
         out.extend_from_slice(&0u32.to_le_bytes()); // gauges
     };

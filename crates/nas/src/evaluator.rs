@@ -17,7 +17,7 @@ use swt_space::{ArchSeq, SearchSpace};
 use swt_tensor::{Rng, Workspace};
 
 /// Why a candidate's evaluation ended. Flows through [`EvalOutcome`], the
-/// canonical trace and the wire-v4 `Result` frame.
+/// canonical trace and the dist `Result` frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StopReason {
     /// Trained the full epoch budget for its rung (the only reason a

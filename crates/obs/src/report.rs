@@ -7,7 +7,7 @@
 //! each NAS trace CSV. The schema is documented in DESIGN.md §8.
 
 use crate::json::Json;
-use crate::metrics::bucket_bound;
+use crate::metrics::{bucket_bound, Histogram};
 use crate::registry::{self, Registry, UNATTRIBUTED_SLOT, WORKER_SLOTS};
 use std::io;
 use std::path::Path;
@@ -47,6 +47,19 @@ pub struct HistogramRow {
     pub count: u64,
     pub sum: u64,
     pub buckets: Vec<(u64, u64)>,
+}
+
+impl HistogramRow {
+    /// Snapshot one live histogram; `None` while it is empty.
+    pub fn capture(name: &str, h: &Histogram) -> Option<HistogramRow> {
+        let count = h.count();
+        if count == 0 {
+            return None;
+        }
+        let buckets = h.buckets().into_iter().enumerate().filter(|&(_, c)| c > 0);
+        let buckets = buckets.map(|(i, c)| (bucket_bound(i), c)).collect();
+        Some(HistogramRow { name: name.to_string(), count, sum: h.sum(), buckets })
+    }
 }
 
 /// A complete observability snapshot plus free-form metadata (app, scheme,
@@ -101,25 +114,7 @@ impl RunReport {
                 report.gauges.push(GaugeRow { name: name.to_string(), value, max });
             }
         });
-        reg.for_each_histogram(|name, h| {
-            let count = h.count();
-            if count == 0 {
-                return;
-            }
-            let buckets = h
-                .buckets()
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(i, &c)| (bucket_bound(i), c))
-                .collect();
-            report.histograms.push(HistogramRow {
-                name: name.to_string(),
-                count,
-                sum: h.sum(),
-                buckets,
-            });
-        });
+        reg.for_each_histogram(|name, h| report.histograms.extend(HistogramRow::capture(name, h)));
         report
     }
 

@@ -15,6 +15,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build (all targets)"
 cargo build --workspace --all-targets
 
+echo "==> e2ebench build (outside the workspace; it imports swt-dist types)"
+CARGO_TARGET_DIR=.bench_build cargo build --release --quiet --locked --manifest-path e2ebench/Cargo.toml
+
 echo "==> cargo test"
 cargo test --workspace
 
