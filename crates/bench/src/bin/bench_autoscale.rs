@@ -31,6 +31,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 use swt::prelude::*;
+use swt_bench::traces_identical;
 
 const CANDIDATES: usize = 24;
 const SEED: u64 = 9;
@@ -54,37 +55,6 @@ fn nas_config() -> NasConfig {
 
 fn dist_config(store: PathBuf) -> DistConfig {
     DistConfig::new(AppKind::Uno, DataScale::Quick, DATA_SEED, store)
-}
-
-/// Compare two traces on every deterministic field; report divergences.
-fn traces_identical(a: &NasTrace, b: &NasTrace, what: &str) -> bool {
-    if a.events.len() != b.events.len() {
-        eprintln!("{what}: event counts differ ({} vs {})", a.events.len(), b.events.len());
-        return false;
-    }
-    let mut ok = true;
-    for (x, y) in a.events.iter().zip(&b.events) {
-        if x.id != y.id
-            || x.arch != y.arch
-            || x.parent != y.parent
-            || x.score.to_bits() != y.score.to_bits()
-            || x.transfer_tensors != y.transfer_tensors
-            || x.transfer_bytes != y.transfer_bytes
-        {
-            eprintln!(
-                "{what}: candidate {} diverged (score {} vs {}, tensors {} vs {})",
-                x.id, x.score, y.score, x.transfer_tensors, y.transfer_tensors
-            );
-            ok = false;
-        }
-    }
-    let top_a: Vec<u64> = a.top_k(5).iter().map(|e| e.id).collect();
-    let top_b: Vec<u64> = b.top_k(5).iter().map(|e| e.id).collect();
-    if top_a != top_b {
-        eprintln!("{what}: top-5 diverged ({top_a:?} vs {top_b:?})");
-        ok = false;
-    }
-    ok
 }
 
 fn main() {

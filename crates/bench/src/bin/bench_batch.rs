@@ -27,18 +27,9 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 use swt::prelude::*;
+use swt::stats::median;
 use swt::tensor::{force_scalar_kernel, gemm_kernel_name, matmul};
 use swt_bench::Harness;
-
-fn median(mut ns: Vec<f64>) -> f64 {
-    ns.sort_by(|a, b| a.total_cmp(b));
-    let mid = ns.len() / 2;
-    if ns.len().is_multiple_of(2) {
-        (ns[mid - 1] + ns[mid]) / 2.0
-    } else {
-        ns[mid]
-    }
-}
 
 fn main() {
     let mut smoke = false;
@@ -118,8 +109,8 @@ fn main() {
     }
     println!("canonical traces identical across all {} runs", 2 * reps + 1);
     let tag = format!("{}_quick.{candidates}cand_{workers}workers", app.slug());
-    let off = median(off_ns);
-    let auto = median(auto_ns);
+    let off = median(&off_ns);
+    let auto = median(&auto_ns);
     h.record(&format!("nas.few_shot.{tag}.batch_off"), off, reps);
     h.record(&format!("nas.few_shot.{tag}.batch_auto"), auto, reps);
     println!("\nnas few_shot batched-vs-unbatched speedup: {:.2}x", off / auto);

@@ -12,9 +12,9 @@
 //! 3. the same transfer path against a warmed [`CachedStore`] (evolution
 //!    re-reads elite parents constantly, so this is the steady state),
 //! 4. an end-to-end A/B: two identical single-worker quick NAS runs, one on
-//!    a full-load-only store and one on the selective path + cache. Scores
-//!    and transferred-tensor counts must match exactly; only
-//!    `transfer_secs` may differ.
+//!    a full-load-only store and one on the selective path + cache. Their
+//!    canonical traces must be byte-identical; only `transfer_secs` and
+//!    the other wall-clock columns may differ.
 //!
 //! Exits non-zero if the provider read on the transfer path is not at least
 //! 3x faster than the WTC1 full decode, or if the A/B runs diverge.
@@ -228,16 +228,7 @@ fn main() {
     let after_cfg = NasConfig::quick(TransferScheme::Lcs, candidates, 1, 9);
     let after = run_nas(problem, space, after_store, &after_cfg);
 
-    let mut ab_ok = true;
-    for (b, a) in before.events.iter().zip(&after.events) {
-        if b.id != a.id || b.score != a.score || b.transfer_tensors != a.transfer_tensors {
-            eprintln!(
-                "A/B divergence at candidate {}: score {} vs {}, tensors {} vs {}",
-                b.id, b.score, a.score, b.transfer_tensors, a.transfer_tensors
-            );
-            ab_ok = false;
-        }
-    }
+    let ab_ok = swt_bench::traces_identical(&before, &after, "quick NAS A/B");
     let before_transfer = sum_transfer_secs(&before);
     let after_transfer = sum_transfer_secs(&after);
     println!();

@@ -28,17 +28,8 @@ use std::sync::Arc;
 use std::time::Instant;
 use swt::nas::StrategyKind;
 use swt::prelude::*;
+use swt::stats::median;
 use swt_bench::Harness;
-
-fn median(mut ns: Vec<f64>) -> f64 {
-    ns.sort_by(|a, b| a.total_cmp(b));
-    let mid = ns.len() / 2;
-    if ns.len().is_multiple_of(2) {
-        (ns[mid - 1] + ns[mid]) / 2.0
-    } else {
-        ns[mid]
-    }
-}
 
 /// Rung-0 score per candidate id — the ranking the strategy (and any
 /// promotion decision) sees for the initial population.
@@ -157,7 +148,7 @@ fn main() {
     );
 
     let tag = format!("{}_quick.{candidates}cand_{workers}workers", app.slug());
-    let (off, on) = (median(off_ns), median(on_ns));
+    let (off, on) = (median(&off_ns), median(&on_ns));
     h.record(&format!("nas.fidelity.{tag}.fidelity_off"), off, reps);
     h.record(&format!("nas.fidelity.{tag}.fidelity_on"), on, reps);
     let speedup = off / on;

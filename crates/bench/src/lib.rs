@@ -2,11 +2,14 @@
 //!
 //! The container builds with no external registry, so criterion is not
 //! available; this module provides the subset the repository needs: warmed-up
-//! median timing, a named-result collector, and machine-readable JSON output
-//! (`BENCH_*.json`) for tracking numbers across commits.
+//! median timing, a named-result collector, machine-readable JSON output
+//! (`BENCH_*.json`) for tracking numbers across commits, and the A/B
+//! canonical-trace gate the bench binaries share.
 
 use std::hint::black_box;
 use std::time::Instant;
+use swt::nas::NasTrace;
+use swt::obs::json::escape;
 
 /// One measured benchmark.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,13 +109,13 @@ impl Harness {
     pub fn to_json(&self, meta: &[(&str, String)]) -> String {
         let mut out = String::from("{\n");
         for (k, v) in meta {
-            out.push_str(&format!("  {}: {},\n", json_str(k), json_str(v)));
+            out.push_str(&format!("  {}: {},\n", escape(k), escape(v)));
         }
         out.push_str("  \"results\": [\n");
         for (i, r) in self.results.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"name\": {}, \"median_ns\": {:.1}, \"iters\": {}}}{}\n",
-                json_str(&r.name),
+                escape(&r.name),
                 r.median_ns,
                 r.iters,
                 if i + 1 == self.results.len() { "" } else { "," }
@@ -123,19 +126,17 @@ impl Harness {
     }
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// The A/B identity gate: whether `b`'s canonical trace is byte-identical
+/// to `a`'s ([`NasTrace::canonical_diff`]). A divergence is printed with
+/// its first differing line.
+pub fn traces_identical(a: &NasTrace, b: &NasTrace, what: &str) -> bool {
+    match a.canonical_diff(b) {
+        None => true,
+        Some(diff) => {
+            eprintln!("{what}: canonical traces differ at {diff}");
+            false
         }
     }
-    out.push('"');
-    out
 }
 
 /// `1234567.8` -> `"1_234_567"` for readable console output.
@@ -181,12 +182,6 @@ mod tests {
         assert!(json.contains("\"host\": \"test\""));
         assert!(json.contains("\"name\": \"noop.fast\""));
         assert!(json.contains("\"median_ns\""));
-    }
-
-    #[test]
-    fn json_escapes_special_characters() {
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_str("x\ny"), "\"x\\u000ay\"");
     }
 
     #[test]

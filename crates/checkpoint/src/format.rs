@@ -186,8 +186,7 @@ fn checked_dims(raw: &[u64]) -> Result<(Vec<usize>, usize), FormatError> {
 // --- encoding ---------------------------------------------------------------
 
 /// Exact encoded size of a WTC2 checkpoint, computed without encoding.
-/// `AsyncStore` uses this for Fig. 11 byte accounting without serialising
-/// twice.
+/// [`encode`] sizes its output buffer with it.
 pub fn encoded_len(entries: &[(String, Tensor)]) -> u64 {
     let toc: u64 = 4 + entries
         .iter()

@@ -17,16 +17,12 @@
 //! transparently. [`CachedStore`] adds a byte-budgeted in-memory cache for
 //! hot provider checkpoints.
 
-pub mod async_store;
 pub mod cache;
-pub mod compress;
 pub mod format;
 pub mod index;
 pub mod store;
 
-pub use async_store::AsyncStore;
 pub use cache::CachedStore;
-pub use compress::QuantizedStore;
 pub use format::{
     decode, decode_tensors, encode, encode_to, encode_v1, encoded_len, parse_index,
     tensor_from_payload, FormatError,

@@ -52,11 +52,6 @@ impl TopKReport {
         self.outcomes.iter().map(|o| o.metric_early_stop).collect()
     }
 
-    /// Fully-trained metrics of all outcomes.
-    pub fn metrics_full(&self) -> Vec<f64> {
-        self.outcomes.iter().map(|o| o.metric_full).collect()
-    }
-
     /// Parameter counts of all outcomes.
     pub fn params(&self) -> Vec<f64> {
         self.outcomes.iter().map(|o| o.params as f64).collect()

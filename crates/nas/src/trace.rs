@@ -136,15 +136,6 @@ impl NasTrace {
         depths.values().map(|&d| d as f64).sum::<f64>() / depths.len() as f64
     }
 
-    /// Mean checkpoint size in bytes (Fig. 11).
-    pub fn mean_checkpoint_bytes(&self) -> f64 {
-        if self.events.is_empty() {
-            return 0.0;
-        }
-        self.events.iter().map(|e| e.checkpoint_bytes as f64).sum::<f64>()
-            / self.events.len() as f64
-    }
-
     /// True iff any event carries fidelity state (a non-zero rung or a
     /// non-budget stop reason). Fidelity-off traces serialise in the legacy
     /// column layout so their bytes match pre-fidelity releases exactly.
@@ -243,6 +234,27 @@ impl NasTrace {
             out.push('\n');
         }
         out
+    }
+
+    /// The trace-identity check every A/B gate uses: the first line at
+    /// which the two [`canonical_csv`](NasTrace::canonical_csv) forms
+    /// differ, rendered as `line N: <self> vs <other>`, or `None` when they
+    /// are byte-identical.
+    pub fn canonical_diff(&self, other: &NasTrace) -> Option<String> {
+        let (a, b) = (self.canonical_csv(), other.canonical_csv());
+        let (mut la, mut lb) = (a.lines(), b.lines());
+        let mut n = 0;
+        loop {
+            n += 1;
+            match (la.next(), lb.next()) {
+                (None, None) => return None,
+                (x, y) if x == y => {}
+                (x, y) => {
+                    let (x, y) = (x.unwrap_or("<end>"), y.unwrap_or("<end>"));
+                    return Some(format!("line {n}: `{x}` vs `{y}`"));
+                }
+            }
+        }
     }
 
     /// Write [`NasTrace::canonical_csv`] to `path`.
@@ -372,12 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_checkpoint_bytes() {
-        let t = trace();
-        assert!((t.mean_checkpoint_bytes() - 1001.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn lineage_depths_follow_parent_chains() {
         // c0 scratch; c1 transfers from c0; c2 transfers from c1; c3 has a
         // parent but transferred nothing (failed load) -> depth 0.
@@ -462,6 +468,26 @@ mod tests {
         assert_ne!(a.canonical_csv(), b.canonical_csv(), "score changes are visible");
         a.events[0].checkpoint_bytes += 1;
         assert_ne!(a.canonical_csv(), trace().canonical_csv());
+    }
+
+    #[test]
+    fn canonical_diff_names_the_first_differing_line() {
+        let a = trace();
+        let mut b = trace();
+        b.wall_secs = 99.0;
+        b.events[0].train_secs += 1.0;
+        assert_eq!(a.canonical_diff(&b), None, "wall-clock columns are invisible");
+        b.events[1].checkpoint_bytes += 1;
+        let diff = a.canonical_diff(&b).expect("checkpoint bytes are visible");
+        assert!(diff.starts_with("line 4: `1,"), "c1 is the second data row: {diff}");
+        let mut b = trace();
+        b.events[2].rung = 1;
+        let diff = a.canonical_diff(&b).expect("fidelity columns are visible");
+        assert!(diff.starts_with("line 2: `id,"), "the column header changes first: {diff}");
+        let mut b = trace();
+        b.events.pop();
+        let diff = a.canonical_diff(&b).expect("a missing row is visible");
+        assert!(diff.starts_with("line 5: `2,") && diff.ends_with(" vs `<end>`"), "{diff}");
     }
 
     #[test]

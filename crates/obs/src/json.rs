@@ -56,10 +56,6 @@ impl Json {
         }
     }
 
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     /// Render as compact JSON text.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -307,7 +303,7 @@ mod tests {
         let arr = v.get("a").unwrap().as_array().unwrap();
         assert_eq!(arr[1].as_u64(), Some(2));
         assert_eq!(arr[2].get("b").unwrap().as_str(), Some("x"));
-        assert!(arr[2].get("c").unwrap().is_null());
+        assert_eq!(arr[2].get("c"), Some(&Json::Null));
     }
 
     #[test]
@@ -320,7 +316,7 @@ mod tests {
     #[test]
     fn render_parse_round_trip() {
         let v = Json::Obj(vec![
-            ("name".into(), Json::Str("q\"uote\n".into())),
+            ("name".into(), Json::Str("q\"uote\n\\path\u{1}".into())),
             ("xs".into(), Json::Arr(vec![Json::Num(0.1), Json::Num(1e-9), Json::Num(3.0)])),
             ("none".into(), Json::Null),
             ("flag".into(), Json::Bool(false)),

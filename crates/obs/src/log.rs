@@ -100,13 +100,6 @@ pub fn set_jsonl_path(path: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// Remove the JSONL sink, flushing it.
-pub fn clear_jsonl_sink() {
-    if let Some(mut w) = JSONL.lock().unwrap_or_else(|e| e.into_inner()).take() {
-        let _ = w.flush();
-    }
-}
-
 /// Emit one record. Callers go through the macros, which check
 /// [`log_enabled`] first so disabled messages are never formatted.
 pub fn log(level: Level, target: &str, args: fmt::Arguments<'_>) {
@@ -201,7 +194,9 @@ mod tests {
         set_max_level(Some(Level::Debug));
         crate::info!("obs::test", "hello {} with \"quotes\"", 42);
         crate::trace!("obs::test", "filtered out");
-        clear_jsonl_sink();
+        if let Some(mut w) = JSONL.lock().unwrap().take() {
+            w.flush().unwrap();
+        }
         set_max_level(None);
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).unwrap();

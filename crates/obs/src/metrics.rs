@@ -109,12 +109,6 @@ impl Histogram {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a duration in seconds (stored as nanoseconds).
-    #[inline]
-    pub fn observe_secs(&self, secs: f64) {
-        self.observe((secs.max(0.0) * 1e9) as u64);
-    }
-
     /// Fold another histogram's totals into this one, bucket by bucket.
     ///
     /// `buckets` carries `(inclusive upper bound, count)` pairs as produced

@@ -73,20 +73,6 @@ impl SlotBinner {
             })
             .collect()
     }
-
-    /// Running best-so-far transform of the slot means: the monotone curve
-    /// variant used when comparing discovery progress between schemes.
-    pub fn best_so_far(&self) -> Vec<SlotStat> {
-        let mut best = f64::NEG_INFINITY;
-        self.stats()
-            .into_iter()
-            .map(|mut s| {
-                best = best.max(s.mean);
-                s.mean = best;
-                s
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -130,17 +116,6 @@ mod tests {
         assert_eq!(stats.len(), 2);
         assert_eq!(stats[0].slot_end, 1.0);
         assert_eq!(stats[1].slot_end, 5.0);
-    }
-
-    #[test]
-    fn best_so_far_is_monotone() {
-        let mut b = SlotBinner::new(1.0);
-        for (t, s) in [(0.5, 0.3), (1.5, 0.8), (2.5, 0.5), (3.5, 0.9)] {
-            b.push(t, s);
-        }
-        let curve = b.best_so_far();
-        let means: Vec<f64> = curve.iter().map(|s| s.mean).collect();
-        assert_eq!(means, vec![0.3, 0.8, 0.8, 0.9]);
     }
 
     #[test]

@@ -96,95 +96,9 @@ pub fn kendall_tau_b(xs: &[f64], ys: &[f64]) -> f64 {
     (c.concordant as f64 - c.discordant as f64) / denom
 }
 
-/// `O(n log n)` Kendall's tau (Knight's algorithm) for tie-free data:
-/// sort by `x`, then count the inversions of the corresponding `y` order
-/// via merge sort. Agrees with [`kendall_tau`] whenever neither coordinate
-/// has ties; used by benches and large-sample analyses.
-///
-/// # Panics
-/// Panics if lengths differ or either coordinate contains ties or NaN.
-pub fn kendall_tau_fast(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "paired samples must have equal length");
-    let n = xs.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("NaN in Kendall input"));
-    for w in order.windows(2) {
-        assert!(xs[w[0]] != xs[w[1]], "kendall_tau_fast requires tie-free x");
-    }
-    let mut seq: Vec<f64> = order.iter().map(|&i| ys[i]).collect();
-    {
-        let mut sorted = seq.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for w in sorted.windows(2) {
-            assert!(w[0] != w[1], "kendall_tau_fast requires tie-free y");
-        }
-    }
-    let mut buf = vec![0.0; n];
-    let discordant = merge_count(&mut seq, &mut buf);
-    let total = (n * (n - 1) / 2) as f64;
-    let concordant = total - discordant as f64;
-    (concordant - discordant as f64) / total
-}
-
-/// Count inversions while merge-sorting `seq` in place.
-fn merge_count(seq: &mut [f64], buf: &mut [f64]) -> u64 {
-    let n = seq.len();
-    if n < 2 {
-        return 0;
-    }
-    let mid = n / 2;
-    let (left, right) = seq.split_at_mut(mid);
-    let mut inv = merge_count(left, &mut buf[..mid]) + merge_count(right, &mut buf[mid..]);
-    let (mut i, mut j, mut k) = (0usize, mid, 0usize);
-    while i < mid && j < n {
-        if seq[i] <= seq[j] {
-            buf[k] = seq[i];
-            i += 1;
-        } else {
-            // seq[j] jumps ahead of every remaining left element.
-            inv += (mid - i) as u64;
-            buf[k] = seq[j];
-            j += 1;
-        }
-        k += 1;
-    }
-    buf[k..k + (mid - i)].copy_from_slice(&seq[i..mid]);
-    let k2 = k + (mid - i);
-    buf[k2..].copy_from_slice(&seq[j..]);
-    seq.copy_from_slice(buf);
-    inv
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fast_matches_naive_on_tie_free_data() {
-        // Deterministic pseudo-random, tie-free by construction.
-        let xs: Vec<f64> = (0..200).map(|i| (i as f64 * 0.7391).sin() + i as f64 * 1e-6).collect();
-        let ys: Vec<f64> = (0..200).map(|i| (i as f64 * 1.217).cos() + i as f64 * 1e-6).collect();
-        let naive = kendall_tau(&xs, &ys);
-        let fast = kendall_tau_fast(&xs, &ys);
-        assert!((naive - fast).abs() < 1e-12, "{naive} vs {fast}");
-    }
-
-    #[test]
-    fn fast_extremes() {
-        let xs: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        let rev: Vec<f64> = xs.iter().rev().copied().collect();
-        assert!((kendall_tau_fast(&xs, &xs) - 1.0).abs() < 1e-12);
-        assert!((kendall_tau_fast(&xs, &rev) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "tie-free")]
-    fn fast_rejects_ties() {
-        kendall_tau_fast(&[1.0, 2.0, 3.0], &[5.0, 5.0, 6.0]);
-    }
 
     #[test]
     fn perfect_agreement_is_one() {

@@ -17,6 +17,6 @@ pub mod summary;
 pub mod welford;
 
 pub use binning::{SlotBinner, SlotStat};
-pub use kendall::{kendall_tau, kendall_tau_b, kendall_tau_fast, ConcordanceCounts};
+pub use kendall::{kendall_tau, kendall_tau_b, ConcordanceCounts};
 pub use summary::{geometric_mean, mean, median, percentile, std_dev, Summary};
 pub use welford::Welford;

@@ -15,14 +15,17 @@
 //!   point `dist-run --store tcp://host:port` at it and workers fetch only
 //!   the selective transfer subset over the wire (DESIGN.md §12).
 //!
-//! See EXPERIMENTS.md §"Distributed runs" for walkthroughs, including the
-//! kill-a-worker fault-tolerance demo and §"Watching a run live".
+//! Every flag takes a value; a mode rejects any flag outside its table, so
+//! a misspelt option fails loudly instead of falling back to a default.
+//! See EXPERIMENTS.md §"Distributed runs" and §"Watching a run live" for
+//! walkthroughs.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use swt::prelude::*;
-use swt_dist::{DistConfig, JoinPlan, KillPlan, LiveRunView};
+use swt_dist::{DistConfig, LiveRunView};
 use swt_obs::json::Json;
 
 const USAGE: &str = "\
@@ -52,9 +55,6 @@ usage:
     --namespace S                checkpoint-id prefix           []
     --store DIR|tcp://H:P        shared checkpoint dir, or a running
                                  `swt ckpt-server` endpoint     [./swt_dist_store]
-    --kill-after W:K             fault demo: SIGKILL worker W after K results
-    --join-after K[:C]           elastic demo: C extra workers (default 1)
-                                 join after K results
     --max-workers N              refuse joins beyond N live workers   [64]
     --initial-workers N          processes at launch (may be < --workers;
                                  the dispatch window stays --workers)
@@ -89,29 +89,171 @@ usage:
                                  value for dist-run so workers can connect
 ";
 
+/// Flags `run` and `dist-run` share: the search, its multi-fidelity
+/// pipeline and the run artifacts.
+const SEARCH_FLAGS: &[&str] = &[
+    "--app",
+    "--scale",
+    "--scheme",
+    "--candidates",
+    "--workers",
+    "--epochs",
+    "--seed",
+    "--data-seed",
+    "--trace",
+    "--canonical-trace",
+    "--report",
+    "--rungs",
+    "--eta",
+    "--prefilter",
+    "--early-stop",
+];
+
+/// Flags only `dist-run` takes.
+const DIST_FLAGS: &[&str] = &[
+    "--namespace",
+    "--store",
+    "--max-workers",
+    "--initial-workers",
+    "--autoscale",
+    "--target-wall-secs",
+    "--cost-budget",
+    "--serve",
+    "--chrome-trace",
+];
+
+const TOP_FLAGS: &[&str] = &["--addr", "--interval-ms", "--iterations", "--fetch"];
+const WORKER_FLAGS: &[&str] = &["--connect", "--worker-id"];
+const SERVER_FLAGS: &[&str] = &["--bind", "--spill", "--cache-bytes", "--serve", "--max-seconds"];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("run") => run_local(&args[1..]),
-        Some("dist-run") => dist_run(&args[1..]),
-        Some("dist-top") => dist_top(&args[1..]),
-        Some("dist-worker") => dist_worker(&args[1..]),
-        Some("ckpt-server") => ckpt_server(&args[1..]),
-        Some("--help" | "-h" | "help") | None => {
+    let Some(mode) = args.first().map(String::as_str) else {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    };
+    let rest = &args[1..];
+    let result = match mode {
+        "run" => Opts::parse(rest, &[SEARCH_FLAGS]).and_then(|o| run_local(&o)),
+        "dist-run" => Opts::parse(rest, &[SEARCH_FLAGS, DIST_FLAGS]).and_then(|o| dist_run(&o)),
+        "dist-top" => Opts::parse(rest, &[TOP_FLAGS]).and_then(|o| dist_top(&o)),
+        "dist-worker" => Opts::parse(rest, &[WORKER_FLAGS]).and_then(|o| dist_worker(&o)),
+        "ckpt-server" => Opts::parse(rest, &[SERVER_FLAGS]).and_then(|o| ckpt_server(&o)),
+        "--help" | "-h" | "help" => {
             print!("{USAGE}");
-            ExitCode::SUCCESS
+            return ExitCode::SUCCESS;
         }
-        Some(other) => {
+        other => {
             eprintln!("unknown mode `{other}`\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("{mode}: {msg}");
             ExitCode::FAILURE
         }
     }
 }
 
+/// One mode's command line: `--flag VALUE` pairs, every flag from the
+/// mode's tables.
+struct Opts<'a>(Vec<(&'a str, &'a str)>);
+
+impl<'a> Opts<'a> {
+    /// Pair each flag with its value. An unknown flag, a flag without a
+    /// value or a stray positional argument is an error naming it.
+    fn parse(args: &'a [String], tables: &[&[&str]]) -> Result<Self, String> {
+        let mut pairs = Vec::new();
+        let mut it = args.iter().map(String::as_str);
+        while let Some(arg) = it.next() {
+            if !arg.starts_with("--") {
+                return Err(format!("unexpected argument `{arg}` (see `swt --help`)"));
+            }
+            if !tables.iter().any(|t| t.contains(&arg)) {
+                return Err(format!("unknown flag `{arg}` (see `swt --help`)"));
+            }
+            let value = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
+            pairs.push((arg, value));
+        }
+        Ok(Opts(pairs))
+    }
+
+    /// The value given for `key` (the first occurrence wins).
+    fn get(&self, key: &str) -> Option<&'a str> {
+        self.0.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
+    }
+
+    /// `key` parsed as a `T`, or `default` when the flag is absent.
+    fn parse_or<T: FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        self.parse_opt(key).map(|v| v.unwrap_or(default))
+    }
+
+    /// `key` parsed as a `T`, if given.
+    fn parse_opt<T: FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|raw| raw.parse().map_err(|_| format!("invalid value for {key}: `{raw}`")))
+            .transpose()
+    }
+}
+
+/// The search `run` and `dist-run` both configure from [`SEARCH_FLAGS`].
+struct Search {
+    app: AppKind,
+    scale: DataScale,
+    data_seed: u64,
+    nas: NasConfig,
+}
+
+impl Search {
+    fn parse(opts: &Opts) -> Result<Search, String> {
+        let app_raw = opts.get("--app").unwrap_or("uno");
+        let app = AppKind::from_slug(app_raw).ok_or_else(|| format!("unknown app `{app_raw}`"))?;
+        let scale = match opts.get("--scale").unwrap_or("quick") {
+            "quick" => DataScale::Quick,
+            "full" => DataScale::Full,
+            other => return Err(format!("unknown scale `{other}`")),
+        };
+        let scheme = match opts.get("--scheme").unwrap_or("lcs") {
+            "baseline" => TransferScheme::Baseline,
+            "lp" => TransferScheme::Lp,
+            "lcs" => TransferScheme::Lcs,
+            other => return Err(format!("unknown scheme `{other}`")),
+        };
+        let candidates: usize = opts.parse_or("--candidates", 24)?;
+        let workers: usize = opts.parse_or("--workers", 2)?;
+        if candidates == 0 || workers == 0 {
+            return Err("--candidates and --workers must be positive".into());
+        }
+        let mut nas = NasConfig::quick(scheme, candidates, workers, opts.parse_or("--seed", 9)?);
+        nas.epochs = opts.parse_or("--epochs", 1)?;
+        nas.fidelity = parse_fidelity(opts)?;
+        Ok(Search { app, scale, data_seed: opts.parse_or("--data-seed", 11)?, nas })
+    }
+
+    /// A registry snapshot tagged with this search's settings.
+    fn report(&self, mode: &str) -> RunReport {
+        RunReport::capture()
+            .with_meta("mode", mode)
+            .with_meta("app", self.app.name())
+            .with_meta("scheme", self.nas.scheme.name())
+            .with_meta("candidates", self.nas.total_candidates)
+            .with_meta("workers", self.nas.workers)
+            .with_meta("seed", self.nas.seed)
+    }
+
+    /// The run's one-line summary: `done` in `wall`, and the search knobs.
+    fn print_completed(&self, done: &str, wall: std::time::Duration) {
+        let (app, scheme, seed) = (self.app.name(), self.nas.scheme.name(), self.nas.seed);
+        println!("completed {done} in {wall:.2?} ({app} app, {scheme} scheme, seed {seed})");
+    }
+}
+
 /// Parse the shared multi-fidelity flags into a validated
 /// [`FidelityConfig`] (all off when none are given).
-fn parse_fidelity(args: &[String]) -> Result<FidelityConfig, String> {
-    let rungs: Vec<usize> = match opt(args, "--rungs") {
+fn parse_fidelity(opts: &Opts) -> Result<FidelityConfig, String> {
+    let rungs: Vec<usize> = match opts.get("--rungs") {
         None => vec![],
         Some(raw) => raw
             .split(',')
@@ -119,9 +261,9 @@ fn parse_fidelity(args: &[String]) -> Result<FidelityConfig, String> {
             .map(|s| s.trim().parse().map_err(|_| format!("invalid rung in `{raw}`")))
             .collect::<Result<_, _>>()?,
     };
-    let eta: usize = parse(args, "--eta", 2)?;
-    let prefilter: f64 = parse(args, "--prefilter", 0.0)?;
-    let convergence = match opt(args, "--early-stop") {
+    let eta: usize = opts.parse_or("--eta", 2)?;
+    let prefilter: f64 = opts.parse_or("--prefilter", 0.0)?;
+    let convergence = match opts.get("--early-stop") {
         None => None,
         Some(spec) => {
             let (w, d) = spec
@@ -136,61 +278,51 @@ fn parse_fidelity(args: &[String]) -> Result<FidelityConfig, String> {
     FidelityConfig::new(eta, rungs, prefilter, convergence).map_err(|e| e.to_string())
 }
 
-fn run_local(args: &[String]) -> ExitCode {
-    match try_run_local(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("run: {msg}");
-            ExitCode::FAILURE
-        }
+fn print_best(trace: &NasTrace) {
+    if let Some(best) = trace.top_k(1).first() {
+        println!("best candidate: c{} score {:.6} arch {}", best.id, best.score, best.arch);
     }
 }
 
-fn try_run_local(args: &[String]) -> Result<(), String> {
-    let app_raw = opt(args, "--app").unwrap_or("uno");
-    let app = AppKind::from_slug(app_raw).ok_or_else(|| format!("unknown app `{app_raw}`"))?;
-    let scale = match opt(args, "--scale").unwrap_or("quick") {
-        "quick" => DataScale::Quick,
-        "full" => DataScale::Full,
-        other => return Err(format!("unknown scale `{other}`")),
-    };
-    let scheme = match opt(args, "--scheme").unwrap_or("lcs") {
-        "baseline" => TransferScheme::Baseline,
-        "lp" => TransferScheme::Lp,
-        "lcs" => TransferScheme::Lcs,
-        other => return Err(format!("unknown scheme `{other}`")),
-    };
-    let candidates: usize = parse(args, "--candidates", 24)?;
-    let workers: usize = parse(args, "--workers", 2)?;
-    let epochs: usize = parse(args, "--epochs", 1)?;
-    let seed: u64 = parse(args, "--seed", 9)?;
-    let data_seed: u64 = parse(args, "--data-seed", 11)?;
-    if candidates == 0 || workers == 0 {
-        return Err("--candidates and --workers must be positive".into());
+/// Write the artifacts both search modes produce: `--trace`,
+/// `--canonical-trace` and `--report`.
+fn write_artifacts(opts: &Opts, trace: &NasTrace, report: &RunReport) -> Result<(), String> {
+    write_to(opts, "--trace", "trace", |p| trace.write_csv(p))?;
+    write_to(opts, "--canonical-trace", "canonical trace", |p| trace.write_canonical_csv(p))?;
+    write_to(opts, "--report", "report", |p| report.write_json(p))
+}
+
+/// If `flag` names a path, write it with `write` and print where it went.
+fn write_to(
+    opts: &Opts,
+    flag: &str,
+    label: &str,
+    write: impl FnOnce(&Path) -> std::io::Result<()>,
+) -> Result<(), String> {
+    if let Some(path) = opts.get(flag).map(Path::new) {
+        write(path).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        println!("{label}: {}", path.display());
     }
-    let mut nas = NasConfig::quick(scheme, candidates, workers, seed);
-    nas.epochs = epochs;
-    nas.fidelity = parse_fidelity(args)?;
+    Ok(())
+}
+
+fn run_local(opts: &Opts) -> Result<(), String> {
+    let search = Search::parse(opts)?;
+    let nas = &search.nas;
 
     swt_obs::enable();
-    let problem = Arc::new(app.problem(scale, data_seed));
-    let space = Arc::new(SearchSpace::for_app(app));
+    let problem = Arc::new(search.app.problem(search.scale, search.data_seed));
+    let space = Arc::new(SearchSpace::for_app(search.app));
     let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
     let t0 = std::time::Instant::now();
-    let trace = run_nas(problem, space, store, &nas);
+    let trace = run_nas(problem, space, store, nas);
     let wall = t0.elapsed();
 
-    println!(
-        "completed {} evaluation(s) of {} candidate(s) in {:.2?} ({} app, {} scheme, seed {})",
-        trace.events.len(),
-        candidates,
-        wall,
-        app.name(),
-        scheme.name(),
-        seed
-    );
+    let done =
+        format!("{} evaluation(s) of {} candidate(s)", trace.events.len(), nas.total_candidates);
+    search.print_completed(&done, wall);
+    let report = search.report("run");
     if nas.fidelity.enabled() {
-        let report = RunReport::capture();
         println!(
             "fidelity: rungs {:?} eta {}  stopped converged {} / pruned {} / prefiltered {}",
             nas.fidelity.rungs,
@@ -200,92 +332,29 @@ fn try_run_local(args: &[String]) -> Result<(), String> {
             report.counter("fidelity.stopped.prefiltered"),
         );
     }
-    if let Some(best) = trace.top_k(1).first() {
-        println!("best candidate: c{} score {:.6} arch {}", best.id, best.score, best.arch);
-    }
-    if let Some(path) = opt(args, "--trace") {
-        let path = PathBuf::from(path);
-        trace.write_csv(&path).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("trace: {}", path.display());
-    }
-    if let Some(path) = opt(args, "--canonical-trace") {
-        let path = PathBuf::from(path);
-        trace
-            .write_canonical_csv(&path)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("canonical trace: {}", path.display());
-    }
-    if let Some(path) = opt(args, "--report") {
-        let report = RunReport::capture()
-            .with_meta("mode", "run")
-            .with_meta("app", app.name())
-            .with_meta("scheme", scheme.name())
-            .with_meta("candidates", candidates)
-            .with_meta("workers", workers)
-            .with_meta("seed", seed);
-        let path = PathBuf::from(path);
-        report.write_json(&path).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("report: {}", path.display());
-    }
-    Ok(())
+    print_best(&trace);
+    write_artifacts(opts, &trace, &report)
 }
 
-/// Pull the value following `--key` out of an option list.
-fn opt<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == key).and_then(|i| args.get(i + 1)).map(String::as_str)
-}
-
-fn parse<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> Result<T, String> {
-    match opt(args, key) {
-        None => Ok(default),
-        Some(raw) => raw.parse().map_err(|_| format!("invalid value for {key}: `{raw}`")),
-    }
-}
-
-fn dist_worker(args: &[String]) -> ExitCode {
-    let (Some(connect), Some(worker_id)) = (opt(args, "--connect"), opt(args, "--worker-id"))
-    else {
-        eprintln!("dist-worker requires --connect and --worker-id\n{USAGE}");
-        return ExitCode::FAILURE;
+fn dist_worker(opts: &Opts) -> Result<(), String> {
+    let (Some(connect), Some(worker_id)) = (opts.get("--connect"), opts.get("--worker-id")) else {
+        return Err(format!("--connect and --worker-id required\n{USAGE}"));
     };
-    let Ok(worker_id) = worker_id.parse::<u64>() else {
-        eprintln!("invalid --worker-id `{worker_id}`");
-        return ExitCode::FAILURE;
-    };
-    match swt_dist::worker_main(connect, worker_id) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("worker {worker_id}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let worker_id: u64 =
+        worker_id.parse().map_err(|_| format!("invalid --worker-id `{worker_id}`"))?;
+    swt_dist::worker_main(connect, worker_id).map_err(|e| format!("worker {worker_id}: {e}"))
 }
 
-fn ckpt_server(args: &[String]) -> ExitCode {
-    match try_ckpt_server(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("ckpt-server: {msg}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn try_ckpt_server(args: &[String]) -> Result<(), String> {
-    let bind = opt(args, "--bind").unwrap_or("127.0.0.1:7421").to_string();
+fn ckpt_server(opts: &Opts) -> Result<(), String> {
+    let bind = opts.get("--bind").unwrap_or("127.0.0.1:7421").to_string();
     let spill: PathBuf =
-        opt(args, "--spill").ok_or_else(|| format!("--spill DIR required\n{USAGE}"))?.into();
+        opts.get("--spill").ok_or_else(|| format!("--spill DIR required\n{USAGE}"))?.into();
     let mut cfg = ServerConfig::new(bind, spill);
-    cfg.cache_bytes = parse(args, "--cache-bytes", cfg.cache_bytes)?;
-    cfg.serve = opt(args, "--serve").map(str::to_string);
+    cfg.cache_bytes = opts.parse_or("--cache-bytes", cfg.cache_bytes)?;
+    cfg.serve = opts.get("--serve").map(str::to_string);
     // The secret rides in the environment, not argv (which `ps` exposes).
     cfg.secret = std::env::var("SWT_CKPT_SECRET").unwrap_or_default();
-    let max_seconds: Option<u64> = match opt(args, "--max-seconds") {
-        Some(raw) => {
-            Some(raw.parse().map_err(|_| format!("invalid value for --max-seconds: `{raw}`"))?)
-        }
-        None => None,
-    };
+    let max_seconds: Option<u64> = opts.parse_opt("--max-seconds")?;
 
     swt_obs::enable();
     let mut server = CkptServer::start(cfg).map_err(|e| format!("start: {e}"))?;
@@ -308,77 +377,26 @@ fn try_ckpt_server(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn dist_run(args: &[String]) -> ExitCode {
-    match try_dist_run(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("dist-run: {msg}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn try_dist_run(args: &[String]) -> Result<(), String> {
-    let app_raw = opt(args, "--app").unwrap_or("uno");
-    let app = AppKind::from_slug(app_raw).ok_or_else(|| format!("unknown app `{app_raw}`"))?;
-    let scale = match opt(args, "--scale").unwrap_or("quick") {
-        "quick" => DataScale::Quick,
-        "full" => DataScale::Full,
-        other => return Err(format!("unknown scale `{other}`")),
-    };
-    let scheme = match opt(args, "--scheme").unwrap_or("lcs") {
-        "baseline" => TransferScheme::Baseline,
-        "lp" => TransferScheme::Lp,
-        "lcs" => TransferScheme::Lcs,
-        other => return Err(format!("unknown scheme `{other}`")),
-    };
-    let candidates: usize = parse(args, "--candidates", 24)?;
-    let workers: usize = parse(args, "--workers", 2)?;
-    let epochs: usize = parse(args, "--epochs", 1)?;
-    let seed: u64 = parse(args, "--seed", 9)?;
-    let data_seed: u64 = parse(args, "--data-seed", 11)?;
+fn dist_run(opts: &Opts) -> Result<(), String> {
+    let mut search = Search::parse(opts)?;
+    search.nas.namespace = opts.get("--namespace").unwrap_or("").to_string();
     // `--store` is either a shared directory (the default DirStore path —
     // what the A/B identity gates pin) or a `tcp://host:port` endpoint of a
     // running `swt ckpt-server`.
-    let store_raw = opt(args, "--store").unwrap_or("swt_dist_store");
+    let store_raw = opts.get("--store").unwrap_or("swt_dist_store");
     let (store_dir, store_url) = if store_raw.starts_with("tcp://") {
         (PathBuf::from("swt_dist_store"), Some(store_raw.to_string()))
     } else {
         (PathBuf::from(store_raw), None)
     };
-    if candidates == 0 || workers == 0 {
-        return Err("--candidates and --workers must be positive".into());
-    }
 
-    let mut nas = NasConfig::quick(scheme, candidates, workers, seed);
-    nas.epochs = epochs;
-    nas.namespace = opt(args, "--namespace").unwrap_or("").to_string();
-    nas.fidelity = parse_fidelity(args)?;
-    let mut dist = DistConfig::new(app, scale, data_seed, store_dir);
+    let mut dist = DistConfig::new(search.app, search.scale, search.data_seed, store_dir);
     dist.store_url = store_url;
-    if let Some(spec) = opt(args, "--kill-after") {
-        let (w, k) =
-            spec.split_once(':').ok_or_else(|| format!("--kill-after wants W:K, got `{spec}`"))?;
-        dist.kill_worker_after = Some(KillPlan {
-            worker: w.parse().map_err(|_| format!("invalid worker in `{spec}`"))?,
-            after_results: k.parse().map_err(|_| format!("invalid count in `{spec}`"))?,
-        });
-    }
-    if let Some(spec) = opt(args, "--join-after") {
-        let (k, c) = match spec.split_once(':') {
-            Some((k, c)) => (k, c),
-            None => (spec, "1"),
-        };
-        dist.join_after = Some(JoinPlan {
-            after_results: k.parse().map_err(|_| format!("invalid count in `{spec}`"))?,
-            count: c.parse().map_err(|_| format!("invalid worker count in `{spec}`"))?,
-        });
-    }
-    dist.max_workers = parse(args, "--max-workers", dist.max_workers)?;
+    dist.max_workers = opts.parse_or("--max-workers", dist.max_workers)?;
     if dist.max_workers == 0 {
         return Err("--max-workers must be positive".into());
     }
-    if let Some(spec) = opt(args, "--autoscale") {
+    if let Some(spec) = opts.get("--autoscale") {
         let (lo, hi) = spec
             .split_once(':')
             .ok_or_else(|| format!("--autoscale wants MIN:MAX, got `{spec}`"))?;
@@ -386,14 +404,8 @@ fn try_dist_run(args: &[String]) -> Result<(), String> {
             lo.parse().map_err(|_| format!("invalid min in `{spec}`"))?,
             hi.parse().map_err(|_| format!("invalid max in `{spec}`"))?,
         );
-        if let Some(raw) = opt(args, "--target-wall-secs") {
-            policy.target_wall_secs =
-                Some(raw.parse().map_err(|_| format!("invalid --target-wall-secs `{raw}`"))?);
-        }
-        if let Some(raw) = opt(args, "--cost-budget") {
-            policy.cost_budget_secs =
-                Some(raw.parse().map_err(|_| format!("invalid --cost-budget `{raw}`"))?);
-        }
+        policy.target_wall_secs = opts.parse_opt("--target-wall-secs")?;
+        policy.cost_budget_secs = opts.parse_opt("--cost-budget")?;
         policy.validate().map_err(|e| format!("--autoscale: {e}"))?;
         if policy.max_workers > dist.max_workers {
             return Err(format!(
@@ -402,12 +414,10 @@ fn try_dist_run(args: &[String]) -> Result<(), String> {
             ));
         }
         dist.autoscale = Some(policy);
-    } else if opt(args, "--target-wall-secs").is_some() || opt(args, "--cost-budget").is_some() {
+    } else if opts.get("--target-wall-secs").is_some() || opts.get("--cost-budget").is_some() {
         return Err("--target-wall-secs/--cost-budget need --autoscale MIN:MAX".into());
     }
-    if let Some(raw) = opt(args, "--initial-workers") {
-        let initial: usize =
-            raw.parse().map_err(|_| format!("invalid value for --initial-workers: `{raw}`"))?;
+    if let Some(initial) = opts.parse_opt::<usize>("--initial-workers")? {
         if initial == 0 || initial > dist.max_workers {
             return Err("--initial-workers must be in 1..=--max-workers".into());
         }
@@ -416,9 +426,8 @@ fn try_dist_run(args: &[String]) -> Result<(), String> {
 
     // Live view + timeline only when someone will read them: the canonical
     // schedule (and trace) is identical either way, this only adds export.
-    let chrome_trace = opt(args, "--chrome-trace").map(PathBuf::from);
-    let serve_addr = opt(args, "--serve");
-    let live = if serve_addr.is_some() || chrome_trace.is_some() {
+    let serve_addr = opts.get("--serve");
+    let live = if serve_addr.is_some() || opts.get("--chrome-trace").is_some() {
         let live = Arc::new(LiveRunView::new());
         dist.live = Some(Arc::clone(&live));
         Some(live)
@@ -449,29 +458,13 @@ fn try_dist_run(args: &[String]) -> Result<(), String> {
 
     let t0 = std::time::Instant::now();
     let (trace, stats) =
-        swt_dist::run_nas_dist_with_stats(&nas, &dist).map_err(|e| e.to_string())?;
+        swt_dist::run_nas_dist_with_stats(&search.nas, &dist).map_err(|e| e.to_string())?;
     let wall = t0.elapsed();
 
-    println!(
-        "completed {} candidates on {} workers in {:.2?} ({} app, {} scheme, seed {})",
-        trace.events.len(),
-        workers,
-        wall,
-        app.name(),
-        scheme.name(),
-        seed
-    );
-    let best = trace.top_k(1);
-    if let Some(best) = best.first() {
-        println!("best candidate: c{} score {:.6} arch {}", best.id, best.score, best.arch);
-    }
-    let report = RunReport::capture()
-        .with_meta("mode", "dist-run")
-        .with_meta("app", app.name())
-        .with_meta("scheme", scheme.name())
-        .with_meta("candidates", candidates)
-        .with_meta("workers", workers)
-        .with_meta("seed", seed);
+    let done = format!("{} candidates on {} workers", trace.events.len(), search.nas.workers);
+    search.print_completed(&done, wall);
+    print_best(&trace);
+    let report = search.report("dist-run");
     if stats.lost > 0 {
         println!(
             "fault tolerance: {} worker(s) lost, {} candidate(s) reassigned",
@@ -498,54 +491,28 @@ fn try_dist_run(args: &[String]) -> Result<(), String> {
         report.counter("ckpt.dir.saved_bytes"),
         report.counter("ckpt.cache.hits"),
     );
-    if let Some(path) = opt(args, "--trace") {
-        let path = PathBuf::from(path);
-        trace.write_csv(&path).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("trace: {}", path.display());
-    }
-    if let Some(path) = opt(args, "--canonical-trace") {
-        let path = PathBuf::from(path);
-        trace
-            .write_canonical_csv(&path)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("canonical trace: {}", path.display());
-    }
-    if let Some(path) = opt(args, "--report") {
-        let path = PathBuf::from(path);
-        report.write_json(&path).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("report: {}", path.display());
-    }
-    if let (Some(path), Some(live)) = (chrome_trace, &live) {
-        std::fs::write(&path, live.trace_json())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("chrome trace: {}", path.display());
-    }
-    Ok(())
-}
-
-fn dist_top(args: &[String]) -> ExitCode {
-    match try_dist_top(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("dist-top: {msg}");
-            ExitCode::FAILURE
-        }
+    write_artifacts(opts, &trace, &report)?;
+    match &live {
+        Some(live) => write_to(opts, "--chrome-trace", "chrome trace", |p| {
+            std::fs::write(p, live.trace_json())
+        }),
+        None => Ok(()),
     }
 }
 
-fn try_dist_top(args: &[String]) -> Result<(), String> {
-    let Some(addr) = opt(args, "--addr") else {
+fn dist_top(opts: &Opts) -> Result<(), String> {
+    let Some(addr) = opts.get("--addr") else {
         return Err(format!("--addr HOST:PORT required\n{USAGE}"));
     };
-    if let Some(path) = opt(args, "--fetch") {
+    if let Some(path) = opts.get("--fetch") {
         // One-shot raw fetch: the scripting/CI path (the container has no
         // curl; this keeps smoke tests std-only too).
         let body = swt_obs::serve::http_get(addr, path).map_err(|e| e.to_string())?;
         println!("{body}");
         return Ok(());
     }
-    let interval: u64 = parse(args, "--interval-ms", 500)?;
-    let iterations: usize = parse(args, "--iterations", 0)?;
+    let interval: u64 = opts.parse_or("--interval-ms", 500)?;
+    let iterations: usize = opts.parse_or("--iterations", 0)?;
     let mut polls = 0usize;
     loop {
         let body = swt_obs::serve::http_get(addr, "/status").map_err(|e| e.to_string())?;

@@ -163,24 +163,6 @@ impl Tensor {
         self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
     }
 
-    /// For a rank-2 tensor `(rows, cols)`: per-column sums, shape `(cols,)`.
-    /// This is the bias-gradient reduction.
-    ///
-    /// # Panics
-    /// Panics unless rank is 2.
-    pub fn col_sums(&self) -> Tensor {
-        assert_eq!(self.shape.rank(), 2, "col_sums requires rank 2");
-        let (rows, cols) = (self.shape.dim(0), self.shape.dim(1));
-        let mut out = vec![0.0f32; cols];
-        for r in 0..rows {
-            let row = &self.data[r * cols..(r + 1) * cols];
-            for (o, &x) in out.iter_mut().zip(row) {
-                *o += x;
-            }
-        }
-        Tensor::from_vec([cols], out)
-    }
-
     /// For a rank-2 tensor: the argmax of each row. Used by the accuracy
     /// metric (predicted class = argmax of logits).
     ///
@@ -309,12 +291,6 @@ mod tests {
         assert_eq!(a.data(), &[6.0, 12.0, 18.0]);
         a.scale(2.0);
         assert_eq!(a.data(), &[12.0, 24.0, 36.0]);
-    }
-
-    #[test]
-    fn col_sums_matches_manual() {
-        let t = Tensor::from_vec([2, 3], vec![1.0, 2.0, 3.0, 10.0, 20.0, 30.0]);
-        assert_eq!(t.col_sums().data(), &[11.0, 22.0, 33.0]);
     }
 
     #[test]

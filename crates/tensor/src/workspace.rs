@@ -67,13 +67,6 @@ impl Workspace {
         Tensor::from_vec(shape, buf)
     }
 
-    /// A tensor of `shape` filled with zeros.
-    pub fn take_tensor_zeroed(&mut self, shape: impl Into<Shape>) -> Tensor {
-        let shape = shape.into();
-        let buf = self.take_zeroed(shape.numel());
-        Tensor::from_vec(shape, buf)
-    }
-
     /// Return a buffer to the pool for reuse.
     pub fn give(&mut self, buf: Vec<f32>) {
         if buf.capacity() > 0 {
@@ -185,7 +178,7 @@ mod tests {
         let t = ws.take_tensor([4, 8]);
         let ptr = t.data().as_ptr();
         ws.recycle(t);
-        let t2 = ws.take_tensor_zeroed([8, 4]);
+        let t2 = Tensor::from_vec([8, 4], ws.take_zeroed(32));
         assert_eq!(t2.data().as_ptr(), ptr);
         assert!(t2.data().iter().all(|&v| v == 0.0));
     }

@@ -168,13 +168,6 @@ impl<'a> Cursor<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed("invalid utf-8"))
     }
 
-    /// Whether the payload is fully consumed — the probe that makes
-    /// optional tails possible: a decoder reads its mandatory fields, then
-    /// takes the tail only when bytes remain.
-    pub fn at_end(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
     /// Decoding must consume the whole payload: trailing bytes mean the
     /// peer speaks a different dialect.
     pub fn finish(&self) -> Result<(), WireError> {
@@ -251,7 +244,6 @@ mod tests {
         let mut c = Cursor::new(&[7, 1, 2, 3]);
         assert_eq!(c.u8()?, 7);
         assert_eq!(c.rest(), &[1, 2, 3]);
-        assert!(c.at_end());
         assert_eq!(c.rest(), &[] as &[u8]);
         c.finish()
     }

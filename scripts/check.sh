@@ -108,22 +108,15 @@ cargo test --release --quiet -p swt-ckpt-server --test fuzz_decode
 echo "==> bench_ckptsrv smoke (selective read <= 5% of full bytes on the wire, >= 3x faster)"
 cargo run --release --quiet -p swt-bench --bin bench_ckptsrv -- --smoke
 
-echo "==> elastic smoke (late join must not change the canonical trace)"
+echo "==> fixed-pool dist smoke (the reference trace the smokes below compare against)"
+# A mid-run join is asserted by integration_elastic's late_join cell and by
+# bench_dist's ab_elastic_identical gate above.
 elastic_dir=$(mktemp -d)
 live_dir=$(mktemp -d)
 trap 'rm -rf "$elastic_dir" "$live_dir"' EXIT
 ./target/release/swt dist-run --app uno --scheme lcs --candidates 8 \
   --workers 2 --store "$elastic_dir/fixed_store" \
   --canonical-trace "$elastic_dir/fixed.csv" >/dev/null
-./target/release/swt dist-run --app uno --scheme lcs --candidates 8 \
-  --workers 2 --join-after 2 --max-workers 3 \
-  --store "$elastic_dir/elastic_store" \
-  --canonical-trace "$elastic_dir/elastic.csv" >/dev/null
-if ! cmp -s "$elastic_dir/fixed.csv" "$elastic_dir/elastic.csv"; then
-  echo "elastic smoke: canonical trace changed when a worker joined mid-run" >&2
-  diff "$elastic_dir/fixed.csv" "$elastic_dir/elastic.csv" >&2 || true
-  exit 1
-fi
 
 echo "==> autoscale smoke (policy-driven pool must not change the canonical trace)"
 ./target/release/swt dist-run --app uno --scheme lcs --candidates 8 \
@@ -172,8 +165,8 @@ if ! cmp -s "$elastic_dir/fidelity_off_local.csv" tests/golden/canonical_uno_lcs
   diff tests/golden/canonical_uno_lcs_c8_w2.csv "$elastic_dir/fidelity_off_local.csv" >&2 || true
   exit 1
 fi
-# The elastic smoke above ran the identical config through the dist backend;
-# its trace must sit on the same golden bytes.
+# The fixed-pool dist smoke above ran the identical config through the
+# dist backend; its trace must sit on the same golden bytes.
 if ! cmp -s "$elastic_dir/fixed.csv" tests/golden/canonical_uno_lcs_c8_w2.csv; then
   echo "fidelity off-switch: dist canonical trace drifted from the pre-fidelity golden" >&2
   diff tests/golden/canonical_uno_lcs_c8_w2.csv "$elastic_dir/fixed.csv" >&2 || true

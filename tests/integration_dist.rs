@@ -135,3 +135,23 @@ fn two_runs_share_one_store_via_namespaces() {
     let _ = std::fs::remove_dir_all(&shared_store);
     let _ = std::fs::remove_dir_all(&isolated_store);
 }
+
+/// Run the `swt` CLI; its exit status and stderr.
+fn swt_cli(args: &[&str]) -> (bool, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_swt")).args(args).output().unwrap();
+    (out.status.success(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn cli_rejects_flags_outside_the_mode_table() {
+    let (ok, err) = swt_cli(&["run", "--candidatez", "3"]);
+    assert!(!ok && err.contains("--candidatez"), "a misspelt flag must fail loudly: {err}");
+    // The removed fault-injection flag; the kill hook is library-only now.
+    let removed = concat!("--kill", "-after");
+    let (ok, err) = swt_cli(&["dist-run", removed, "1:3"]);
+    assert!(!ok && err.contains(removed), "a removed flag must fail loudly: {err}");
+    let (ok, err) = swt_cli(&["run", "--candidates", "3", "stray"]);
+    assert!(!ok && err.contains("stray"), "a positional argument is rejected: {err}");
+    let (ok, err) = swt_cli(&["run", "--candidates", "3", "--workers", "1"]);
+    assert!(ok, "the known flags still run a search: {err}");
+}

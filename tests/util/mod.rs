@@ -75,34 +75,10 @@ pub fn assert_conserved(stats: &DistRunStats, what: &str) {
     }
 }
 
-/// The A/B identity contract: everything the strategy and the paper's
-/// analyses consume must match bit-for-bit.
+/// The A/B identity contract: the two canonical traces — everything the
+/// strategy and the paper's analyses consume — must match byte for byte.
 pub fn assert_traces_identical(a: &NasTrace, b: &NasTrace, what: &str) {
-    assert_eq!(a.events.len(), b.events.len(), "{what}: event counts differ");
-    for (x, y) in a.events.iter().zip(&b.events) {
-        assert_eq!(x.id, y.id, "{what}: id order diverged");
-        assert_eq!(x.arch, y.arch, "{what}: arch of c{} diverged", x.id);
-        assert_eq!(x.parent, y.parent, "{what}: parent of c{} diverged", x.id);
-        assert_eq!(
-            x.score.to_bits(),
-            y.score.to_bits(),
-            "{what}: score of c{} diverged ({} vs {})",
-            x.id,
-            x.score,
-            y.score
-        );
-        assert_eq!(
-            x.transfer_tensors, y.transfer_tensors,
-            "{what}: transfer tensors of c{} diverged",
-            x.id
-        );
-        assert_eq!(
-            x.transfer_bytes, y.transfer_bytes,
-            "{what}: transfer bytes of c{} diverged",
-            x.id
-        );
+    if let Some(diff) = a.canonical_diff(b) {
+        panic!("{what}: canonical traces differ at {diff}");
     }
-    let top_a: Vec<u64> = a.top_k(5).iter().map(|e| e.id).collect();
-    let top_b: Vec<u64> = b.top_k(5).iter().map(|e| e.id).collect();
-    assert_eq!(top_a, top_b, "{what}: top-K diverged");
 }
