@@ -18,9 +18,7 @@
 //! these quantities, which is what makes the substitution sound.
 
 pub mod config;
-pub mod replay;
 pub mod sim;
 
 pub use config::{ClusterConfig, PfsModel};
-pub use replay::{replay_policy, scenario_tasks, ReplayConfig, ReplayReport, ReplayView};
 pub use sim::{simulate, SimReport, TaskCost};

@@ -13,7 +13,7 @@
 //!
 //! Admission (DESIGN.md §10): there is one way into the pool. The listener
 //! stays open for the whole run and every connection — the launch-time
-//! workers, late joins, autoscale grows — goes through the same
+//! workers and late joins alike — goes through the same
 //! `Hello`/`HelloAck` admission: the newcomer gets a fresh slot and starts
 //! draining the pending queue, or an `Error` frame (bad Hello, version
 //! mismatch, pool already at `max_workers`) and is dropped without
@@ -31,7 +31,6 @@
 
 use crate::frame::{read_frame, write_frame, WireError, PROTOCOL_VERSION};
 use crate::live::LiveRunView;
-use crate::policy::{ScaleDecision, ScalePolicy};
 use crate::spawn::{find_worker_exe, spawn_worker};
 use crate::wire::{Msg, RunSpec};
 use crate::{DistConfig, DistRunStats, JoinPlan, KillPlan};
@@ -61,9 +60,6 @@ struct WorkerSlot {
     /// Candidate currently evaluating on this worker.
     current: Option<u64>,
     alive: bool,
-    /// Sent a `Retire` frame and draining: no new tasks, no pings; its EOF
-    /// is an orderly close, not a loss.
-    retiring: bool,
     /// Ping in flight: `(nonce, send time)`. A worker with an outstanding
     /// ping older than the timeout is declared lost — liveness is judged on
     /// unanswered pings, never on mere quietness (an idle worker between
@@ -81,7 +77,7 @@ pub struct DistBackend {
     exe: PathBuf,
     run: RunSpec,
     /// The deterministic dispatch window (`nas.workers`). Constant for the
-    /// backend's lifetime regardless of how the pool grows or shrinks.
+    /// backend's lifetime regardless of joins and losses.
     window: usize,
     /// Size of the launch-time pool: admissions into slots below it fill
     /// the pool, later ones count as joins.
@@ -103,21 +99,13 @@ pub struct DistBackend {
     results_delivered: usize,
     kill_plan: Option<KillPlan>,
     join_plan: Option<JoinPlan>,
-    /// Children we spawned (at launch, by join injection or by a grow
-    /// decision) that have not been admitted yet.
+    /// Children we spawned (at launch or by join injection) that have not
+    /// been admitted yet.
     joining: Vec<Child>,
     joined: usize,
     rejected: usize,
     lost: usize,
     reassigned: usize,
-    /// The autoscaling policy (`None` = fixed pool). Ticked from `submit`
-    /// and `heartbeat_tick`; it only ever changes *which processes* are in
-    /// the pool, never which candidate the window schedules next.
-    policy: Option<ScalePolicy>,
-    /// Workers spawned by autoscale grow decisions.
-    grown: usize,
-    /// Workers retired by autoscale shrink decisions.
-    retired: usize,
     /// Set by [`DistBackend::finish`]; makes `Drop` a no-op.
     finished: bool,
     /// In-flight run view; streamed `Telemetry` frames fold into it.
@@ -151,30 +139,18 @@ impl DistBackend {
     /// Everything in [`DistBackend::launch`] except spawning: validate the
     /// config, bind the (non-blocking) listener, and build an empty pool.
     fn bind(nas: &NasConfig, dist: &DistConfig) -> io::Result<DistBackend> {
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
         let window = nas.workers;
-        assert!(window > 0, "need a non-empty dispatch window");
+        if window == 0 {
+            return Err(invalid("need a non-empty dispatch window (workers = 0)".into()));
+        }
         let n = dist.initial_workers.unwrap_or(window).max(1);
-        assert!(n <= dist.max_workers, "initial workers exceed max_workers");
-        // Validate the autoscale policy up front: a bad config must fail the
-        // launch, not the first decision tick mid-run.
-        let policy = match &dist.autoscale {
-            Some(cfg) => {
-                if cfg.max_workers > dist.max_workers {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!(
-                            "autoscale max_workers {} exceeds pool max_workers {}",
-                            cfg.max_workers, dist.max_workers
-                        ),
-                    ));
-                }
-                let policy = ScalePolicy::new(cfg.clone()).map_err(|e| {
-                    io::Error::new(io::ErrorKind::InvalidInput, format!("autoscale config: {e}"))
-                })?;
-                Some(policy)
-            }
-            None => None,
-        };
+        if n > dist.max_workers {
+            return Err(invalid(format!(
+                "{n} initial workers exceed max_workers={}",
+                dist.max_workers
+            )));
+        }
         // The listener polls non-blocking for the whole run, so a child that
         // dies before connecting turns into a clear error instead of a hung
         // accept, and mid-run joins never stall the dispatch loop.
@@ -237,9 +213,6 @@ impl DistBackend {
             rejected: 0,
             lost: 0,
             reassigned: 0,
-            policy,
-            grown: 0,
-            retired: 0,
             finished: false,
             live,
         })
@@ -291,7 +264,6 @@ impl DistBackend {
             reader: Some(reader),
             current: None,
             alive: true,
-            retiring: false,
             outstanding_ping: None,
             rtt: swt_obs::registry::global().histogram(&format!("dist.rtt_ns.w{worker}")),
         });
@@ -385,7 +357,7 @@ impl DistBackend {
             let Some(worker) = self
                 .slots
                 .iter()
-                .position(|s| s.alive && !s.retiring && s.current.is_none() && s.writer.is_some())
+                .position(|s| s.alive && s.current.is_none() && s.writer.is_some())
             else {
                 return Ok(()); // every live worker busy; keep queueing
             };
@@ -413,10 +385,7 @@ impl DistBackend {
     fn heartbeat_tick(&mut self) -> io::Result<()> {
         self.poll_joins()?;
         for worker in 0..self.slots.len() {
-            // A retiring worker is draining toward EOF: its reader thread is
-            // gone, so a ping would never be answered and the timeout would
-            // misread the orderly close as a loss.
-            if !self.slots[worker].alive || self.slots[worker].retiring {
+            if !self.slots[worker].alive {
                 continue;
             }
             if let Some((_, sent)) = self.slots[worker].outstanding_ping {
@@ -432,10 +401,7 @@ impl DistBackend {
                 Err(e) => self.mark_lost(worker, &format!("ping write failed: {e}"))?,
             }
         }
-        self.flush()?;
-        // Quiet-period policy tick: during a drain no `submit` arrives, so
-        // the shrink side of the policy only ever fires from here.
-        self.maybe_autoscale()
+        self.flush()
     }
 
     /// Accept every connection waiting on the (non-blocking) listener and
@@ -601,126 +567,6 @@ impl DistBackend {
         }
     }
 
-    /// One autoscale decision tick: snapshot the pool, let the policy
-    /// decide, record the decision, actuate. Called from `submit`
-    /// (post-flush, so steady state shows every live worker busy — no
-    /// transient-idle flapping) and from `heartbeat_tick` (quiet periods
-    /// and the end-of-run drain). Ticks are decision-counted, never
-    /// wall-clock, so the decision log reproduces run-to-run.
-    fn maybe_autoscale(&mut self) -> io::Result<()> {
-        let Some(mut policy) = self.policy.take() else {
-            return Ok(());
-        };
-        self.live.set_connecting(self.joining.len());
-        let decision = policy.decide(&self.live);
-        let (grows, shrinks, holds) = policy.tally();
-        if let Some(line) = policy.log().last() {
-            self.live.record_autoscale(line, grows, shrinks, holds);
-        }
-        let min_workers = policy.config().min_workers;
-        let tick = policy.tick();
-        let result = self.actuate(decision, min_workers, tick);
-        self.policy = Some(policy);
-        result
-    }
-
-    /// Carry out one [`ScaleDecision`]. Grow spawns children that come back
-    /// through the ordinary join protocol; shrink sends `Retire` to idle
-    /// workers only (drain-then-close, never mid-candidate), keeping at
-    /// least `min_workers` non-retiring live processes.
-    fn actuate(
-        &mut self,
-        decision: ScaleDecision,
-        min_workers: usize,
-        tick: u64,
-    ) -> io::Result<()> {
-        match decision {
-            ScaleDecision::Hold => {
-                swt_obs::counter!("autoscale.hold").inc();
-            }
-            ScaleDecision::Grow(n) => {
-                swt_obs::counter!("autoscale.grow").inc();
-                swt_obs::info!("swt_dist", "autoscale decision {tick}: grow pool by {n}");
-                for _ in 0..n {
-                    let worker_id = self.slots.len() + self.joining.len();
-                    self.joining.push(spawn_worker(&self.exe, &self.addr, worker_id)?);
-                    self.grown += 1;
-                }
-                self.live.set_connecting(self.joining.len());
-            }
-            ScaleDecision::Shrink(n) => {
-                swt_obs::counter!("autoscale.shrink").inc();
-                // Re-derive the retire set from coordinator state rather
-                // than trusting the snapshot: only idle, live, non-retiring
-                // slots qualify, and the floor is re-checked here.
-                let mut spare = self
-                    .slots
-                    .iter()
-                    .filter(|s| s.alive && !s.retiring)
-                    .count()
-                    .saturating_sub(min_workers);
-                let mut to_retire = Vec::new();
-                for (i, slot) in self.slots.iter().enumerate() {
-                    if to_retire.len() >= n || spare == 0 {
-                        break;
-                    }
-                    if slot.alive
-                        && !slot.retiring
-                        && slot.current.is_none()
-                        && slot.writer.is_some()
-                    {
-                        to_retire.push(i);
-                        spare -= 1;
-                    }
-                }
-                for worker in to_retire {
-                    let msg = Msg::Retire {
-                        decision: tick,
-                        reason: format!("autoscale decision {tick}: pool past demand"),
-                    };
-                    match self.send_to(worker, &msg) {
-                        Ok(()) => {
-                            swt_obs::info!(
-                                "swt_dist",
-                                "autoscale decision {tick}: retiring idle worker {worker}"
-                            );
-                            let slot = &mut self.slots[worker];
-                            slot.retiring = true;
-                            slot.outstanding_ping = None;
-                            self.live.worker_retiring(worker);
-                            self.retired += 1;
-                        }
-                        Err(e) => self.mark_lost(worker, &format!("retire write failed: {e}"))?,
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// A retiring worker's socket closed: the drain-then-close handshake
-    /// completing, not a failure — no loss counter. The candidate reclaim
-    /// is purely defensive (retires go only to idle workers, so `current`
-    /// should always be empty here).
-    fn retire_complete(&mut self, worker: usize, reason: &str) -> io::Result<()> {
-        if !self.slots[worker].alive {
-            return Ok(());
-        }
-        swt_obs::info!("swt_dist", "worker {worker} retired and closed ({reason})");
-        swt_obs::counter!("dist.workers_retired").inc();
-        self.reclaim(worker);
-        self.close_slot(worker);
-        self.sync_live_queue();
-        if self.slots.iter().any(|s| s.alive) || self.inflight.is_empty() {
-            Ok(())
-        } else {
-            Err(io::Error::new(
-                io::ErrorKind::ConnectionAborted,
-                format!("all workers gone after worker {worker} retired with work pending"),
-            ))
-        }
-    }
-
     /// Graceful teardown: send `Shutdown` to every live worker, fold the
     /// final snapshots they flush on the way out, hand back the run's
     /// [`DistRunStats`] with per-worker totals read from the settled live
@@ -764,8 +610,6 @@ impl DistBackend {
             rejected: self.rejected,
             lost: self.lost,
             reassigned: self.reassigned,
-            grown: self.grown,
-            retired: self.retired,
         })
     }
 
@@ -813,13 +657,7 @@ impl EvalBackend for DistBackend {
         self.flush()?;
         self.maybe_inject_join()?;
         self.maybe_inject_kill();
-        // Admit any grow-spawned workers waiting on the listener: a busy
-        // run may never hit the heartbeat timeout, so the submit path must
-        // drain the accept queue too.
-        if !self.joining.is_empty() {
-            self.poll_joins()?;
-        }
-        self.maybe_autoscale()
+        Ok(())
     }
 
     fn next_result(&mut self) -> io::Result<BackendResult> {
@@ -868,11 +706,7 @@ impl EvalBackend for DistBackend {
                     }
                 },
                 Ok(Event::Gone { worker, reason }) => {
-                    if self.slots[worker].retiring {
-                        self.retire_complete(worker, &reason)?;
-                    } else {
-                        self.mark_lost(worker, &reason)?;
-                    }
+                    self.mark_lost(worker, &reason)?;
                     self.flush()?;
                 }
                 Err(RecvTimeoutError::Timeout) => self.heartbeat_tick()?,

@@ -14,7 +14,7 @@ pub use swt_wire::{put_string, Cursor, WireError, MAX_FRAME_LEN};
 /// Protocol version exchanged in the handshake. Bump on any frame-layout
 /// change: coordinator and worker refuse a peer whose version differs, so
 /// each frame has exactly one layout (see [`crate::wire`]).
-pub const PROTOCOL_VERSION: u32 = 7;
+pub const PROTOCOL_VERSION: u32 = 8;
 
 /// Write one frame. Counts `dist.frames_tx`.
 pub fn write_frame(w: &mut impl Write, ty: u8, payload: &[u8]) -> Result<(), WireError> {

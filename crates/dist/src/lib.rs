@@ -13,7 +13,7 @@
 //! requirement for distributed NAS): the runner's deterministic dispatch
 //! window plus per-candidate seeding makes distributed runs — even runs
 //! where workers are SIGKILLed mid-flight — bit-identical to the
-//! single-process thread pool. The protocol (wire v7) has one layout per
+//! single-process thread pool. The protocol (wire v8) has one layout per
 //! frame, one admission path into the worker pool, and one metrics channel
 //! from worker to coordinator (the cumulative `Telemetry` snapshot). See
 //! DESIGN.md §10 for the protocol and failure model.
@@ -22,13 +22,16 @@
 //! [`coordinator`] ([`DistBackend`]), [`worker`] (the `swt dist-worker`
 //! loop), [`spawn`] (child-process management), [`live`] (the in-flight
 //! run view every worker snapshot folds into, served by
-//! `swt dist-run --serve`), [`policy`] (the autoscaling decision function
-//! behind `--autoscale`).
+//! `swt dist-run --serve`).
+//!
+//! The pool is fixed by the dispatch window: `nas.workers` candidates at
+//! most are ever queued or in flight, so the coordinator never sizes its
+//! own pool. Workers still join from outside (`swt dist-worker --connect`)
+//! and are lost on crash or timeout; neither moves the schedule.
 
 pub mod coordinator;
 pub mod frame;
 pub mod live;
-pub mod policy;
 pub mod spawn;
 pub mod wire;
 pub mod worker;
@@ -36,9 +39,6 @@ pub mod worker;
 pub use coordinator::DistBackend;
 pub use frame::{WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};
 pub use live::{LiveRunView, WorkerView, STOP_COUNTER_KINDS};
-pub use policy::{
-    PolicyConfig, PolicyError, PoolSnapshot, ScaleDecision, ScalePolicy, MAX_POOL_WORKERS,
-};
 pub use wire::{Msg, RunSpec, Telemetry, WorkerMetrics};
 pub use worker::worker_main;
 
@@ -90,10 +90,6 @@ pub struct DistRunStats {
     pub lost: usize,
     /// Candidates reassigned off lost workers.
     pub reassigned: usize,
-    /// Workers spawned by autoscale grow decisions.
-    pub grown: usize,
-    /// Workers drained out of the pool by autoscale shrink decisions.
-    pub retired: usize,
 }
 
 impl DistRunStats {
@@ -146,11 +142,6 @@ pub struct DistConfig {
     pub max_workers: usize,
     /// Optional scale-out injection for benches/tests.
     pub join_after: Option<JoinPlan>,
-    /// Autoscaling policy; `None` (the default) keeps the pool fixed. The
-    /// policy only ever changes which *processes* evaluate — the dispatch
-    /// window, and with it the candidate schedule, never moves (its
-    /// `max_workers` must not exceed [`DistConfig::max_workers`]).
-    pub autoscale: Option<PolicyConfig>,
     /// Live run view the coordinator folds streamed telemetry into. Pass a
     /// view that is also handed to an [`swt_obs::ObsServer`] to watch the
     /// run over HTTP; when `None` the backend keeps a private one (the
@@ -177,7 +168,6 @@ impl DistConfig {
             initial_workers: None,
             max_workers: 64,
             join_after: None,
-            autoscale: None,
             live: None,
         }
     }

@@ -18,7 +18,6 @@
 //! degrade the view to staleness, never corruption. Nothing here feeds
 //! back into scheduling.
 
-use crate::policy::PoolSnapshot;
 use crate::wire::{GaugeSnap, SpanTotalRow, Telemetry, WorkerMetrics};
 use crate::DistRunStats;
 use std::collections::VecDeque;
@@ -38,16 +37,10 @@ pub const MAX_VIEW_EVENTS: usize = 16_384;
 /// Smoothing factor for the per-candidate wall-cost EWMA.
 const EWMA_ALPHA: f64 = 0.2;
 
-/// Upper bound on retained autoscale decision-log lines in the view (the
-/// policy keeps its own, larger, log; this is the `/status` window).
-pub const MAX_VIEW_DECISIONS: usize = 64;
-
 /// What the coordinator currently knows about one worker.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerView {
     pub alive: bool,
-    /// Retire frame sent; the worker is draining and takes no new work.
-    pub retiring: bool,
     /// Highest telemetry seq applied (frames at or below it are stale).
     pub last_seq: u64,
     /// Telemetry frames applied / rejected as stale.
@@ -96,28 +89,14 @@ impl WorkerView {
     }
 }
 
-/// Autoscale monitoring state surfaced under `"autoscale"` in `/status`.
-#[derive(Debug, Default)]
-struct AutoscaleState {
-    enabled: bool,
-    grows: u64,
-    shrinks: u64,
-    holds: u64,
-    /// Most recent decision lines, oldest first.
-    log: VecDeque<String>,
-}
-
 #[derive(Debug, Default)]
 struct Inner {
     meta: Vec<(String, String)>,
     window: usize,
     queue_depth: usize,
     inflight: usize,
-    /// Spawned workers that have not completed their handshake yet.
-    connecting: usize,
     results: u64,
     ewma_secs: f64,
-    autoscale: AutoscaleState,
     workers: Vec<WorkerView>,
     /// Worker timeline events, oldest first, as `(pid, event)` with
     /// `pid = worker + 1` (pid 0 is this process's own timeline).
@@ -188,55 +167,6 @@ impl LiveRunView {
         inner.ensure_worker(worker);
         inner.workers[worker].alive = false;
         inner.workers[worker].current = None;
-    }
-
-    /// `worker` was sent a `Retire` frame and is draining; it no longer
-    /// counts toward dispatchable capacity.
-    pub fn worker_retiring(&self, worker: usize) {
-        let mut inner = self.lock();
-        inner.ensure_worker(worker);
-        inner.workers[worker].retiring = true;
-    }
-
-    /// Spawned-but-not-yet-handshaken worker count — capacity the policy
-    /// has already paid for.
-    pub fn set_connecting(&self, connecting: usize) {
-        self.lock().connecting = connecting;
-    }
-
-    /// The plain-data snapshot [`crate::policy::ScalePolicy::decide`]
-    /// consumes: the dispatch picture plus the live/idle/connecting worker
-    /// counts, all wall-clock-free.
-    pub fn pool_snapshot(&self) -> PoolSnapshot {
-        let inner = self.lock();
-        let live = inner.workers.iter().filter(|w| w.alive && !w.retiring).count();
-        let idle =
-            inner.workers.iter().filter(|w| w.alive && !w.retiring && w.current.is_none()).count();
-        PoolSnapshot {
-            queue_depth: inner.queue_depth,
-            inflight: inner.inflight,
-            live,
-            idle,
-            connecting: inner.connecting,
-            results: inner.results,
-            ewma_secs: inner.ewma_secs,
-        }
-    }
-
-    /// Fold one autoscale decision into the view's `/status` window:
-    /// `kind` indexes (grow, shrink, hold); `line` is the policy's
-    /// formatted decision-log line.
-    pub fn record_autoscale(&self, line: &str, grows: u64, shrinks: u64, holds: u64) {
-        let mut inner = self.lock();
-        let a = &mut inner.autoscale;
-        a.enabled = true;
-        a.grows = grows;
-        a.shrinks = shrinks;
-        a.holds = holds;
-        if a.log.len() >= MAX_VIEW_DECISIONS {
-            a.log.pop_front();
-        }
-        a.log.push_back(line.to_string());
     }
 
     /// Update the dispatch picture: queued (not yet handed out) and
@@ -378,7 +308,6 @@ impl ServeSource for LiveRunView {
                 Json::Obj(vec![
                     ("id".to_string(), Json::Num(id as f64)),
                     ("alive".to_string(), Json::Bool(w.alive)),
-                    ("retiring".to_string(), Json::Bool(w.retiring)),
                     ("seq".to_string(), Json::Num(w.last_seq as f64)),
                     ("frames".to_string(), Json::Num(w.frames as f64)),
                     ("stale_frames".to_string(), Json::Num(w.stale_frames as f64)),
@@ -406,27 +335,15 @@ impl ServeSource for LiveRunView {
         let meta =
             inner.meta.iter().map(|(k, v)| (k.clone(), Json::Str(v.clone()))).collect::<Vec<_>>();
         let live = inner.workers.iter().filter(|w| w.alive).count();
-        let autoscale = Json::Obj(vec![
-            ("enabled".to_string(), Json::Bool(inner.autoscale.enabled)),
-            ("grows".to_string(), Json::Num(inner.autoscale.grows as f64)),
-            ("shrinks".to_string(), Json::Num(inner.autoscale.shrinks as f64)),
-            ("holds".to_string(), Json::Num(inner.autoscale.holds as f64)),
-            (
-                "log".to_string(),
-                Json::Arr(inner.autoscale.log.iter().map(|l| Json::Str(l.clone())).collect()),
-            ),
-        ]);
         Json::Obj(vec![
             ("meta".to_string(), Json::Obj(meta)),
             ("uptime_secs".to_string(), Json::Num(uptime)),
             ("window".to_string(), Json::Num(inner.window as f64)),
             ("queue_depth".to_string(), Json::Num(inner.queue_depth as f64)),
             ("inflight".to_string(), Json::Num(inner.inflight as f64)),
-            ("connecting".to_string(), Json::Num(inner.connecting as f64)),
             ("results".to_string(), Json::Num(inner.results as f64)),
             ("workers_live".to_string(), Json::Num(live as f64)),
             ("ewma_candidate_secs".to_string(), Json::Num(inner.ewma_secs)),
-            ("autoscale".to_string(), autoscale),
             ("events_buffered".to_string(), Json::Num(inner.events.len() as f64)),
             ("events_dropped".to_string(), Json::Num(inner.events_dropped as f64)),
             ("workers".to_string(), Json::Arr(workers)),
@@ -444,7 +361,6 @@ impl ServeSource for LiveRunView {
         let live = inner.workers.iter().filter(|w| w.alive).count();
         text.push_str(&format!("swt_live_queue_depth {}\n", inner.queue_depth));
         text.push_str(&format!("swt_live_inflight {}\n", inner.inflight));
-        text.push_str(&format!("swt_live_connecting {}\n", inner.connecting));
         text.push_str(&format!("swt_live_workers {}\n", live));
         text.push_str(&format!("swt_live_results_total {}\n", inner.results));
         text.push_str(&format!("swt_live_ewma_candidate_seconds {}\n", inner.ewma_secs));
@@ -582,40 +498,6 @@ mod tests {
         let stopped0 = stopped(&status, 0)?;
         assert_eq!(stopped0.get("converged").and_then(Json::as_f64), Some(3.0));
         assert_eq!(stopped0.get("prefiltered").and_then(Json::as_f64), Some(5.0));
-        Ok(())
-    }
-
-    #[test]
-    fn pool_snapshot_and_autoscale_log_surface_in_status() -> Result<(), String> {
-        let live = LiveRunView::new();
-        live.worker_added(0);
-        live.worker_added(1);
-        live.worker_added(2);
-        live.record_result(0, 0.5);
-        live.set_current(0, Some(4));
-        live.worker_retiring(2);
-        live.set_queue(3, 2);
-        live.set_connecting(1);
-        let s = live.pool_snapshot();
-        assert_eq!((s.queue_depth, s.inflight, s.connecting), (3, 2, 1));
-        assert_eq!(
-            (s.live, s.idle),
-            (2, 1),
-            "retiring worker leaves the pool; busy one is not idle"
-        );
-        assert_eq!((s.outstanding(), s.effective()), (5, 3));
-        assert!((s.ewma_secs - 0.5).abs() < 1e-12);
-
-        live.record_autoscale("t=1 -> grow +1", 1, 0, 0);
-        let status = Json::parse(&live.status_json())?;
-        let auto = status.get("autoscale").ok_or("autoscale object missing")?;
-        assert_eq!(auto.get("enabled"), Some(&Json::Bool(true)));
-        assert_eq!(auto.get("grows").and_then(Json::as_f64), Some(1.0));
-        let log = auto.get("log").and_then(Json::as_array).ok_or("log missing")?;
-        assert_eq!(log.len(), 1);
-        assert_eq!(status.get("connecting").and_then(Json::as_f64), Some(1.0));
-        let workers = status.get("workers").and_then(Json::as_array).ok_or("workers")?;
-        assert_eq!(workers[2].get("retiring"), Some(&Json::Bool(true)));
         Ok(())
     }
 

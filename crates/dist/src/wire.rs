@@ -11,9 +11,9 @@
 //! | 0x07 | Shutdown  | coordinator → worker| (empty)                                  |
 //! | 0x08 | Error     | either              | utf-8 description                        |
 //! | 0x0A | Telemetry | worker → coordinator| seq-numbered cumulative [`Telemetry`]    |
-//! | 0x0B | Retire    | coordinator → worker| decision tick + utf-8 reason             |
 //!
-//! 0x09 is unassigned and decodes as [`WireError::UnknownType`].
+//! 0x09 and 0x0B are unassigned (both were frames of earlier protocol
+//! versions and are not reused) and decode as [`WireError::UnknownType`].
 //!
 //! All integers little-endian; floats as IEEE-754 bit patterns (scores must
 //! round-trip bit-exactly — the A/B identity gate compares them with `==`).
@@ -465,16 +465,6 @@ pub enum Msg {
     Telemetry {
         telemetry: Telemetry,
     },
-    /// Drain-then-close: the autoscaler picked this *idle* worker to shrink
-    /// the pool. The worker flushes its final snapshot and exits cleanly —
-    /// same teardown as `Shutdown`, but initiated by a policy decision, so
-    /// the coordinator counts the departure as a retirement, never a loss.
-    Retire {
-        /// The policy decision tick that retired this worker.
-        decision: u64,
-        /// Human-readable decision context, for the worker's log.
-        reason: String,
-    },
 }
 
 fn app_code(app: AppKind) -> u8 {
@@ -526,7 +516,6 @@ impl Msg {
             Msg::Shutdown => 0x07,
             Msg::Error { .. } => 0x08,
             Msg::Telemetry { .. } => 0x0A,
-            Msg::Retire { .. } => 0x0B,
         }
     }
 
@@ -605,10 +594,6 @@ impl Msg {
             }
             Msg::Telemetry { telemetry } => {
                 telemetry.encode_into(&mut out)?;
-            }
-            Msg::Retire { decision, reason } => {
-                out.extend_from_slice(&decision.to_le_bytes());
-                put_string(&mut out, reason)?;
             }
         }
         Ok(out)
@@ -728,7 +713,6 @@ impl Msg {
             0x07 => Msg::Shutdown,
             0x08 => Msg::Error { message: c.string()? },
             0x0A => Msg::Telemetry { telemetry: Telemetry::decode_from(&mut c)? },
-            0x0B => Msg::Retire { decision: c.u64()?, reason: c.string()? },
             other => return Err(WireError::UnknownType(other)),
         };
         c.finish()?;
@@ -786,7 +770,6 @@ mod tests {
         round_trip(Msg::Error { message: "checkpoint store unreachable".into() })?;
         round_trip(Msg::Telemetry { telemetry: sample_telemetry() })?;
         round_trip(Msg::Telemetry { telemetry: Telemetry::default() })?;
-        round_trip(Msg::Retire { decision: 17, reason: "pool drained to min".into() })?;
         Ok(())
     }
 
@@ -1028,9 +1011,10 @@ mod tests {
     fn malformed_payloads_error_cleanly() {
         // Truncated Task.
         assert!(matches!(Msg::decode(0x03, &[1, 2, 3]), Err(WireError::Malformed(_))));
-        // Unknown frame type, including the unassigned 0x09.
+        // Unknown frame type, including the unassigned 0x09 and 0x0B.
         assert!(matches!(Msg::decode(0x7f, &[]), Err(WireError::UnknownType(0x7f))));
         assert!(matches!(Msg::decode(0x09, &[]), Err(WireError::UnknownType(0x09))));
+        assert!(matches!(Msg::decode(0x0B, &[]), Err(WireError::UnknownType(0x0B))));
         // Trailing garbage after a valid Ping.
         let ping = [0u8; 9];
         assert!(matches!(Msg::decode(0x05, &ping), Err(WireError::Malformed(_))));

@@ -3,7 +3,7 @@
 //! Lifecycle: connect → `Hello`/`HelloAck` (version check, receive the
 //! [`RunSpec`]) → build the problem, search space and evaluator locally →
 //! evaluate `Task` frames one at a time, answering `Ping`s concurrently
-//! from a reader thread, until `Shutdown`, `Retire` or the socket dies.
+//! from a reader thread, until `Shutdown` or the socket dies.
 //!
 //! Metrics travel on one channel: a cumulative, seq-numbered `Telemetry`
 //! snapshot that rides with every `Result` and every `Pong`, plus one at
@@ -98,7 +98,7 @@ fn request_admission(stream: &mut TcpStream, worker_id: u64) -> Result<RunSpec, 
 }
 
 /// Run the worker protocol loop on an established connection. Returns when
-/// the coordinator sends `Shutdown` or `Retire`, or the connection fails.
+/// the coordinator sends `Shutdown`, or the connection fails.
 pub fn run_worker(mut stream: TcpStream, worker_id: u64) -> Result<(), WireError> {
     // Metrics are recorded process-locally and shipped to the coordinator as
     // cumulative snapshots; without this the worker's GEMM/checkpoint/cache
@@ -132,7 +132,7 @@ pub fn run_worker(mut stream: TcpStream, worker_id: u64) -> Result<(), WireError
     // (heartbeats must flow while the main thread is deep in a long
     // evaluation, and each Pong carries a snapshot, so the live view keeps
     // its heartbeat cadence) and forwards Tasks over a channel. Dropping the
-    // sender — on Shutdown, Retire, a protocol violation, or a dead socket —
+    // sender — on Shutdown, a protocol violation, or a dead socket —
     // ends the main loop below.
     let (task_tx, task_rx) = mpsc::channel::<Candidate>();
     let reader_outbox = Arc::clone(&outbox);
@@ -151,17 +151,6 @@ pub fn run_worker(mut stream: TcpStream, worker_id: u64) -> Result<(), WireError
                     }
                 }
                 Ok(Msg::Shutdown) => return Ok(()),
-                Ok(Msg::Retire { decision, reason }) => {
-                    // Drain-then-close: the coordinator only retires idle
-                    // workers, so the main loop has nothing in flight —
-                    // dropping task_tx ends it and the normal teardown
-                    // (final snapshot, close) runs.
-                    swt_obs::info!(
-                        "swt_dist",
-                        "worker retired by autoscale decision {decision}: {reason}"
-                    );
-                    return Ok(());
-                }
                 Ok(Msg::Error { message }) => return Err(WireError::Protocol(message)),
                 Ok(other) => {
                     let err = format!("unexpected frame {:#04x} at worker", other.frame_type());

@@ -19,9 +19,9 @@ use swt_obs::report::{CounterRow, HistogramRow};
 use swt_space::ArchSeq;
 use swt_tensor::Rng;
 
-/// Every known frame-type byte (0x01 Hello … 0x0B Retire; 0x09 is
+/// Every known frame-type byte (0x01 Hello … 0x0A Telemetry; 0x09 is
 /// unassigned).
-const FRAME_TYPES: [u8; 10] = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x0A, 0x0B];
+const FRAME_TYPES: [u8; 9] = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x0A];
 
 /// The corpus HelloAck's store endpoint — non-empty so the url bytes are
 /// actually exercised by the truncation sweeps.
@@ -104,7 +104,6 @@ fn corpus() -> Vec<Msg> {
                 dropped_events: 7,
             },
         },
-        Msg::Retire { decision: 42, reason: "pool past demand".into() },
     ]
 }
 

@@ -2,11 +2,16 @@
 //!
 //! Every binary accepts:
 //!
-//! * `--scale quick|full` — quick (default) is CI-sized; full approaches the
-//!   paper's counts (400 candidates, 5 seeds, population 64/32).
+//! * `--scale quick|full|paper` — quick (default) is CI-sized; full uses
+//!   full-size data at reduced counts; paper uses the paper's counts (400
+//!   candidates, 5 seeds, population 64/32).
 //! * `--workers N` — evaluator threads (default: available cores − 2).
 //! * `--apps a,b` — restrict to a subset of `cifar10,mnist,nt3,uno`.
 //! * `--out DIR` — results directory (default `results/`).
+//! * `--candidates N`, `--pairs N`, `--seeds N` — override the scale's
+//!   preset counts.
+//!
+//! Any other argument, or a flag without a parsable value, is an error.
 //!
 //! NAS runs are cached: traces land in `<out>/traces/` as CSV and candidate
 //! checkpoints in `<out>/ckpts/<run>/`, so `fig8`, `fig9`, `table3` and
@@ -22,6 +27,10 @@ use swt_core::TransferScheme;
 use swt_data::{AppKind, AppProblem, DataScale};
 use swt_nas::{run_nas, NasConfig, NasTrace, ProviderPolicy, StrategyKind};
 use swt_space::SearchSpace;
+
+/// The flags every experiment binary accepts, each taking a value.
+const FLAGS: &[&str] =
+    &["--scale", "--workers", "--apps", "--out", "--candidates", "--pairs", "--seeds"];
 
 /// Parsed command-line context shared by all experiment binaries.
 #[derive(Debug, Clone)]
@@ -45,40 +54,60 @@ pub struct ExpCtx {
 }
 
 impl ExpCtx {
-    /// Parse `std::env::args()`.
+    /// Parse `std::env::args()`; on a bad command line, print the error
+    /// and exit non-zero.
     pub fn from_args() -> ExpCtx {
-        Self::from_vec(std::env::args().collect())
+        Self::from_vec(std::env::args().collect()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(1)
+        })
     }
 
-    /// Parse an explicit argument vector (testable core of [`ExpCtx::from_args`]).
-    pub fn from_vec(args: Vec<String>) -> ExpCtx {
-        let get = |flag: &str| -> Option<String> {
-            args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
+    /// Parse an explicit argument vector (testable core of
+    /// [`ExpCtx::from_args`]; `args[0]` is the program name). Every flag
+    /// takes a value; an unknown flag, a missing or unparsable value, or a
+    /// stray positional argument is an error naming it.
+    pub fn from_vec(args: Vec<String>) -> Result<ExpCtx, String> {
+        let mut pairs: Vec<(String, String)> = Vec::new();
+        let mut it = args.into_iter().skip(1);
+        while let Some(flag) = it.next() {
+            if !FLAGS.contains(&flag.as_str()) {
+                return Err(format!("unknown argument `{flag}` (flags: {})", FLAGS.join(" ")));
+            }
+            let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            pairs.push((flag, value));
+        }
+        let get = |flag: &str| pairs.iter().find(|(k, _)| k == flag).map(|(_, v)| v.as_str());
+        let count = |flag: &str| -> Result<Option<usize>, String> {
+            get(flag)
+                .map(|raw| raw.parse().map_err(|_| format!("invalid value for {flag}: `{raw}`")))
+                .transpose()
         };
-        let scale_name = get("--scale").unwrap_or_else(|| "quick".into());
-        let scale = match scale_name.as_str() {
+        let scale_name = get("--scale").unwrap_or("quick");
+        let scale = match scale_name {
+            "quick" => DataScale::Quick,
             "full" | "paper" => DataScale::Full,
-            _ => DataScale::Quick,
+            other => return Err(format!("unknown scale `{other}` (quick|full|paper)")),
         };
         let default_workers = std::thread::available_parallelism()
             .map(|p| p.get().saturating_sub(2).max(1))
             .unwrap_or(4);
-        let workers = get("--workers").and_then(|w| w.parse().ok()).unwrap_or(default_workers);
+        let workers = count("--workers")?.unwrap_or(default_workers);
         let apps = match get("--apps") {
             Some(list) => list
                 .split(',')
                 .map(|name| match name.trim().to_lowercase().as_str() {
-                    "cifar10" | "cifar-10" | "cifar" => AppKind::Cifar10,
-                    "mnist" => AppKind::Mnist,
-                    "nt3" => AppKind::Nt3,
-                    "uno" => AppKind::Uno,
-                    other => panic!("unknown app {other:?}"),
+                    "cifar10" | "cifar-10" | "cifar" => Ok(AppKind::Cifar10),
+                    "mnist" => Ok(AppKind::Mnist),
+                    "nt3" => Ok(AppKind::Nt3),
+                    "uno" => Ok(AppKind::Uno),
+                    other => Err(format!("unknown app `{other}`")),
                 })
-                .collect(),
+                .collect::<Result<_, _>>()?,
             None => AppKind::all().to_vec(),
         };
-        let out = PathBuf::from(get("--out").unwrap_or_else(|| "results".into()));
-        let mut ctx = match scale_name.as_str() {
+        let out = PathBuf::from(get("--out").unwrap_or("results"));
+        let mut ctx = match scale_name {
             // The paper's exact counts (400 candidates, 5 seeds, population
             // 64/32, 1000 trained pairs) on full-size synthetic data.
             "paper" => ExpCtx {
@@ -117,17 +146,20 @@ impl ExpCtx {
                 out,
             },
         };
-        if let Some(c) = get("--candidates").and_then(|v| v.parse().ok()) {
+        if let Some(c) = count("--candidates")? {
             ctx.candidates = c;
         }
-        if let Some(p) = get("--pairs").and_then(|v| v.parse().ok()) {
+        if let Some(p) = count("--pairs")? {
             ctx.pairs = p;
         }
-        if let Some(s) = get("--seeds").and_then(|v| v.parse::<usize>().ok()) {
+        if let Some(s) = count("--seeds")? {
             ctx.seeds = (1..=s as u64).collect();
         }
-        std::fs::create_dir_all(ctx.out.join("traces")).expect("create results dir");
-        std::fs::create_dir_all(ctx.out.join("ckpts")).expect("create results dir");
+        for dir in ["traces", "ckpts"] {
+            let path = ctx.out.join(dir);
+            std::fs::create_dir_all(&path)
+                .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
+        }
         // Observability: record spans/counters for every run this context
         // launches; `SWT_LOG_JSON=<path>` additionally mirrors log records
         // to a JSONL file. Reports land next to each trace CSV.
@@ -137,7 +169,7 @@ impl ExpCtx {
                 swt_obs::warn!("swt_experiments", "cannot open SWT_LOG_JSON={path}: {e}");
             }
         }
-        ctx
+        Ok(ctx)
     }
 
     /// Dataset seed: fixed per app so every scheme/seed sees the same data.
@@ -300,6 +332,10 @@ mod tests {
     use swt_nas::StrategyKind;
 
     fn ctx(args: &[&str]) -> ExpCtx {
+        try_ctx(args).unwrap_or_else(|e| panic!("valid arguments rejected: {e}"))
+    }
+
+    fn try_ctx(args: &[&str]) -> Result<ExpCtx, String> {
         let mut v = vec!["prog".to_string()];
         v.extend(args.iter().map(|s| s.to_string()));
         // Route outputs to a scratch dir so tests don't pollute results/.
@@ -357,9 +393,29 @@ mod tests {
         assert!(name_a.contains("uno_lcs_evo_s1"));
     }
 
+    /// The error for `args`, which must be rejected.
+    fn rejection(args: &[&str]) -> String {
+        match try_ctx(args) {
+            Ok(c) => panic!("{args:?} must be rejected, parsed as {c:?}"),
+            Err(e) => e,
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "unknown app")]
     fn unknown_app_rejected() {
-        ctx(&["--apps", "imagenet"]);
+        assert!(rejection(&["--apps", "imagenet"]).contains("imagenet"));
+    }
+
+    #[test]
+    fn misspelt_scale_rejected() {
+        assert!(rejection(&["--scale", "fulll"]).contains("fulll"));
+    }
+
+    #[test]
+    fn unknown_flag_rejected() {
+        assert!(rejection(&["--candidatez", "3"]).contains("--candidatez"));
+        assert!(rejection(&["stray"]).contains("stray"));
+        assert!(rejection(&["--seeds"]).contains("--seeds"), "a flag needs a value");
+        assert!(rejection(&["--workers", "four"]).contains("four"), "unparsable count");
     }
 }

@@ -8,7 +8,9 @@
 //!   evaluator thread per simulated GPU.
 //! * `swt_dist::DistBackend` — a multi-process coordinator/worker backend
 //!   speaking a framed TCP protocol, with heartbeat-based fault tolerance
-//!   and elastic scale-out (workers may join mid-run).
+//!   and elastic scale-out (workers may join mid-run). Its pool never sizes
+//!   itself: at most [`EvalBackend::capacity`] candidates are ever queued
+//!   or in flight, so a worker beyond that window would only sit idle.
 //!
 //! Both must yield bit-identical runs for the same `NasConfig`; the
 //! deterministic dispatch window lives in the runner, so a backend only has

@@ -58,14 +58,6 @@ usage:
     --max-workers N              refuse joins beyond N live workers   [64]
     --initial-workers N          processes at launch (may be < --workers;
                                  the dispatch window stays --workers)
-    --autoscale MIN:MAX          let the coordinator size its own pool inside
-                                 [MIN, MAX]: grow on backlog, drain-then-retire
-                                 idle spares; the dispatch window — and thus
-                                 the canonical trace — stays --workers
-    --target-wall-secs S         autoscale hint: keep growing while the
-                                 projected finish time exceeds S
-    --cost-budget S              autoscale cap: stop growing once projected
-                                 worker-seconds would exceed S
     --serve ADDR                 serve the live run view over HTTP
                                  (/status JSON, /metrics Prometheus text,
                                  /trace Chrome trace JSON), e.g. 127.0.0.1:0
@@ -110,17 +102,8 @@ const SEARCH_FLAGS: &[&str] = &[
 ];
 
 /// Flags only `dist-run` takes.
-const DIST_FLAGS: &[&str] = &[
-    "--namespace",
-    "--store",
-    "--max-workers",
-    "--initial-workers",
-    "--autoscale",
-    "--target-wall-secs",
-    "--cost-budget",
-    "--serve",
-    "--chrome-trace",
-];
+const DIST_FLAGS: &[&str] =
+    &["--namespace", "--store", "--max-workers", "--initial-workers", "--serve", "--chrome-trace"];
 
 const TOP_FLAGS: &[&str] = &["--addr", "--interval-ms", "--iterations", "--fetch"];
 const WORKER_FLAGS: &[&str] = &["--connect", "--worker-id"];
@@ -396,27 +379,6 @@ fn dist_run(opts: &Opts) -> Result<(), String> {
     if dist.max_workers == 0 {
         return Err("--max-workers must be positive".into());
     }
-    if let Some(spec) = opts.get("--autoscale") {
-        let (lo, hi) = spec
-            .split_once(':')
-            .ok_or_else(|| format!("--autoscale wants MIN:MAX, got `{spec}`"))?;
-        let mut policy = PolicyConfig::bounded(
-            lo.parse().map_err(|_| format!("invalid min in `{spec}`"))?,
-            hi.parse().map_err(|_| format!("invalid max in `{spec}`"))?,
-        );
-        policy.target_wall_secs = opts.parse_opt("--target-wall-secs")?;
-        policy.cost_budget_secs = opts.parse_opt("--cost-budget")?;
-        policy.validate().map_err(|e| format!("--autoscale: {e}"))?;
-        if policy.max_workers > dist.max_workers {
-            return Err(format!(
-                "--autoscale max {} exceeds --max-workers {}",
-                policy.max_workers, dist.max_workers
-            ));
-        }
-        dist.autoscale = Some(policy);
-    } else if opts.get("--target-wall-secs").is_some() || opts.get("--cost-budget").is_some() {
-        return Err("--target-wall-secs/--cost-budget need --autoscale MIN:MAX".into());
-    }
     if let Some(initial) = opts.parse_opt::<usize>("--initial-workers")? {
         if initial == 0 || initial > dist.max_workers {
             return Err("--initial-workers must be in 1..=--max-workers".into());
@@ -475,12 +437,6 @@ fn dist_run(opts: &Opts) -> Result<(), String> {
         println!(
             "elasticity: {} worker(s) joined mid-run, {} join(s) rejected at max_workers={}",
             stats.joined, stats.rejected, dist.max_workers
-        );
-    }
-    if let Some(policy) = &dist.autoscale {
-        println!(
-            "autoscale: {} worker(s) grown, {} retired (pool bounds {}..={})",
-            stats.grown, stats.retired, policy.min_workers, policy.max_workers
         );
     }
     println!(
@@ -544,24 +500,6 @@ fn render_top(status: &Json) -> String {
         num("inflight") as u64,
         num("ewma_candidate_secs"),
     );
-    if let Some(auto) = status.get("autoscale") {
-        if auto.get("enabled") == Some(&Json::Bool(true)) {
-            let an = |k: &str| auto.get(k).and_then(Json::as_f64).unwrap_or(0.0) as u64;
-            let last = auto
-                .get("log")
-                .and_then(Json::as_array)
-                .and_then(|log| log.last())
-                .and_then(Json::as_str)
-                .unwrap_or("-");
-            out.push_str(&format!(
-                "autoscale grow {} / shrink {} / hold {}  connecting {}  last: {last}\n\n",
-                an("grows"),
-                an("shrinks"),
-                an("holds"),
-                num("connecting") as u64,
-            ));
-        }
-    }
     out.push_str(&format!(
         "{:>3} {:>5} {:>6} {:>7} {:>8} {:>9} {:>10} {:>10} {:>10} {:>9} {:>8}\n",
         "id",

@@ -152,6 +152,14 @@ fn cli_rejects_flags_outside_the_mode_table() {
     assert!(!ok && err.contains(removed), "a removed flag must fail loudly: {err}");
     let (ok, err) = swt_cli(&["run", "--candidates", "3", "stray"]);
     assert!(!ok && err.contains("stray"), "a positional argument is rejected: {err}");
+    // The default `--workers` is checked against `--max-workers` too: an
+    // error naming the cap, not a panic.
+    let args = ["dist-run", "--candidates", "2", "--workers", "3", "--max-workers", "2"];
+    let (ok, err) = swt_cli(&args);
+    assert!(
+        !ok && err.contains("max_workers") && !err.contains("panicked"),
+        "a pool above --max-workers must fail cleanly: {err}"
+    );
     let (ok, err) = swt_cli(&["run", "--candidates", "3", "--workers", "1"]);
     assert!(ok, "the known flags still run a search: {err}");
 }

@@ -1,13 +1,13 @@
-//! The elastic dist matrix — this PR's headline test. One seed, five pool
-//! shapes:
+//! The elastic dist matrix. One seed, six pool shapes:
 //!
-//! | cell            | pool history                                        |
-//! |-----------------|-----------------------------------------------------|
-//! | `fixed`         | 2 workers, healthy throughout                       |
-//! | `late_join`     | starts with 1 of 2, a second joins mid-run          |
-//! | `join_then_kill`| 2 workers, a third joins, then one is SIGKILLed     |
-//! | `kill_then_join`| 2 workers, one SIGKILLed, a replacement joins       |
-//! | `join_rejected` | 2 workers at `max_workers=2`; a join is refused     |
+//! | cell                  | pool history                                    |
+//! |-----------------------|-------------------------------------------------|
+//! | `fixed`               | 2 workers, healthy throughout                   |
+//! | `late_join`           | starts with 1 of 2, a second joins mid-run      |
+//! | `late_join_then_kill` | starts with 1 of 2, the joiner is SIGKILLed     |
+//! | `join_then_kill`      | 2 workers, a third joins, then one is SIGKILLed |
+//! | `kill_then_join`      | 2 workers, one SIGKILLed, a replacement joins   |
+//! | `join_rejected`       | 2 workers at `max_workers=2`; a join is refused |
 //!
 //! Every cell must produce a canonical trace byte-identical to the
 //! in-process baseline — elasticity and failures change *which process*
@@ -62,6 +62,19 @@ const MATRIX: &[Cell] = &[
         expect_joined: 1,
         expect_rejected: 0,
         expect_lost: 0,
+    },
+    Cell {
+        // A worker admitted mid-run (slot 1) is SIGKILLed while it is
+        // evaluating: loss detection and reassignment must compose with a
+        // late admission into a short-handed pool.
+        name: "late_join_then_kill",
+        initial_workers: Some(1),
+        max_workers: 2,
+        join: Some(JoinPlan { after_results: 2, count: 1 }),
+        kill: Some(KillPlan { worker: 1, after_results: 6 }),
+        expect_joined: 1,
+        expect_rejected: 0,
+        expect_lost: 1,
     },
     Cell {
         name: "join_then_kill",
